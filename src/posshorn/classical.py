@@ -298,7 +298,6 @@ def drive(
     learner: HornEntailmentLearner,
     mq: Callable[[HornClause], bool],
     eq: Callable[[HornKB], Optional[HornClause]],
-    max_eqs: Optional[int] = None,
 ) -> HornKB:
     """Run a learner instance to completion against oracle callables."""
     while True:
@@ -307,8 +306,6 @@ def drive(
         if learner.status == WAITING_MQ:
             learner.answer_mq(mq(learner.pending_mq))
         elif learner.status == WAITING_EQ:
-            if max_eqs is not None and learner.eqs > max_eqs:
-                raise ProtocolError(f"exceeded {max_eqs} equivalence queries")
             cex = eq(learner.pending_hypothesis)
             if cex is None:
                 learner.answer_eq_yes()

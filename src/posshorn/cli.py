@@ -10,7 +10,12 @@ misconfiguration:
       found a discrepancy.
 * 2 - unusable input: parse errors, bad flags, missing mode requirements.
 * 3 - the oracle side gave out: scripted counterexamples exhausted or
-      invalid, enumeration cap reached, query budget exceeded.
+      invalid, enumeration cap reached, query budget exceeded, a target
+      finer than the 12-digit precision limit, a violated learning protocol
+      (such as an mq-only level search that makes no progress), or a PAC
+      sampler out of draws.
+
+Every failure prints one ``error:`` line on stderr; no traceback escapes.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Optional
 from .classical import (
     EnumerationCapReached,
     HornEntailmentLearner,
+    ProtocolError,
     QueryBudgetExceeded,
     clause_space,
     drive,
@@ -36,12 +42,13 @@ from .horn import (
     parse_horn_kb,
 )
 from .lift import (
+    PrecisionTooLow,
     RunStats,
     learn_with_eq_enumeration,
     learn_with_mq_eq,
     learn_with_mq_levels,
 )
-from .pac import UniformClauseDistribution, pac_learn
+from .pac import SamplerExhausted, UniformClauseDistribution, pac_learn
 from .possibilistic import (
     necessity,
     parse_poss_kb,
@@ -222,7 +229,8 @@ def cmd_verify(args) -> int:
             print("equivalent")
             return EXIT_OK
         witness = find_classical_counterexample(a, b)
-    assert witness is not None  # inequivalent KBs always differ clause-wise
+    if witness is None:
+        raise TeacherError("inequivalent KBs with no separating clause")
     positive, clause = witness
     side = "first" if positive else "second"
     print(f"not equivalent; witness entailed only by the {side} KB: {clause}")
@@ -306,7 +314,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, HornSyntaxError, ValuationError, SignatureCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ScriptExhausted, TeacherError, EnumerationCapReached, QueryBudgetExceeded) as exc:
+    except (
+        ScriptExhausted,
+        TeacherError,
+        EnumerationCapReached,
+        QueryBudgetExceeded,
+        PrecisionTooLow,
+        ProtocolError,
+        SamplerExhausted,
+    ) as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
 

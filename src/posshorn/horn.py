@@ -1,11 +1,18 @@
 """Propositional Horn clauses, knowledge bases, and entailment.
 
-Entailment is decided by forward chaining with the counter-based linear
-algorithm (one pass over each clause antecedent per derived variable), so a
-single query costs O(size of the KB).  A truth-table oracle that enumerates
-all 2^n assignments is provided as an independent cross-check for small
-signatures; it is used by the test suite and the ``oracle-check`` command,
-never by the learners.
+Entailment is decided by forward chaining over bitsets.  Each KB is compiled
+once, on first use: every signature variable gets a bit (bit 0 stands for
+falsum) and every clause becomes a rule (antecedent mask, consequent bit).
+A query seeds an int with the bits of its antecedent; chaining then makes
+passes over the rules, ORing in the consequent of every rule whose
+antecedent mask is covered, until a pass adds nothing or the goal bit (the
+query consequent, or falsum) is set.  A pass is one mask test per rule, so a
+query costs O(rules x derivation depth).  :mod:`posshorn.possibilistic`
+chains over the same rules, one rule tuple per cut.
+
+A truth-table oracle that enumerates all 2^n assignments is provided as an
+independent cross-check for small signatures; it is used by the test suite
+and the ``oracle-check`` command, never by the learners.
 
 Text format, one clause per line: ``ANT -> CONS`` where ANT is ``true`` or a
 comma-separated variable list and CONS is a variable or ``false``.
@@ -90,6 +97,59 @@ def parse_clause(text: str) -> HornClause:
     return HornClause(antecedent, consequent)
 
 
+# -- compiled form -------------------------------------------------------------
+
+# Bit 0 stands for falsum; the variables of a signature take bits 1, 2, ...
+# in sorted order, so a set of derived atoms is one int.
+_FALSUM_BIT = 1
+
+
+def _bit_index(signature: Iterable[str]) -> dict[str, int]:
+    return {v: 2 << i for i, v in enumerate(sorted(signature))}
+
+
+def _compile(index: dict[str, int], clause: HornClause) -> tuple[int, int]:
+    """(antecedent mask, consequent bit) of a clause over the index."""
+    ant = 0
+    for v in clause.antecedent:
+        ant |= index[v]
+    cons = _FALSUM_BIT if clause.consequent is FALSUM else index[clause.consequent]
+    return ant, cons
+
+
+def _chain(rules: tuple[tuple[int, int], ...], derived: int, goal: int = 0) -> int:
+    """Close the mask ``derived`` under the rules.
+
+    Each pass tests every rule's antecedent mask against the derived mask
+    and ORs in the consequents of those that fire.  Chaining stops after a
+    pass that derives nothing new, or as soon as a bit of ``goal`` is set.
+    """
+    while True:
+        before = derived
+        for ant, cons in rules:
+            if ant & derived == ant:
+                derived |= cons
+        if derived == before or derived & goal:
+            return derived
+
+
+def _entails(index: dict[str, int], rules, clause: HornClause) -> bool:
+    """The rules, compiled over ``index``, entail the clause.
+
+    Clause variables outside the index occur in no rule: in the antecedent
+    they derive nothing, and as the consequent they follow only ex falso.
+    """
+    cons = clause.consequent
+    if cons is not FALSUM and cons in clause.antecedent:
+        return True
+    seed = 0
+    for v in clause.antecedent:
+        seed |= index.get(v, 0)
+    # FALSUM is None, which no index holds: its goal is the falsum bit alone
+    goal = _FALSUM_BIT | index.get(cons, 0)
+    return bool(_chain(rules, seed, goal) & goal)
+
+
 @dataclass(frozen=True)
 class HornKB:
     """An immutable finite set of Horn clauses over an explicit signature."""
@@ -116,33 +176,10 @@ class HornKB:
         return tuple(sorted(self.clauses))
 
     @cached_property
-    def _chain_index(self) -> tuple[dict[str, list[int]], list[int], list[Optional[str]], list[int]]:
-        """Watch lists for counter-based chaining.
-
-        Returns (watch, antecedent sizes, consequents, empty-antecedent ids).
-        """
-        watch: dict[str, list[int]] = {}
-        sizes: list[int] = []
-        consequents: list[Optional[str]] = []
-        roots: list[int] = []
-        for i, c in enumerate(self.sorted_clauses):
-            sizes.append(len(c.antecedent))
-            consequents.append(c.consequent)
-            if not c.antecedent:
-                roots.append(i)
-            for v in c.antecedent:
-                watch.setdefault(v, []).append(i)
-        return watch, sizes, consequents, roots
-
-    def with_signature(self, extra: Iterable[str]) -> "HornKB":
-        return HornKB(self.clauses, self.signature | frozenset(extra))
-
-    @property
-    def is_non_trivial(self) -> bool:
-        """Satisfiable and falsifiable (some clause body can actually fail)."""
-        _, inconsistent = closure(self, frozenset())
-        falsifiable = any(not c.is_tautology for c in self.clauses)
-        return not inconsistent and falsifiable
+    def _compiled(self) -> tuple[dict[str, int], tuple[tuple[int, int], ...]]:
+        """(variable -> bit, rules as (antecedent mask, consequent bit))."""
+        index = _bit_index(self.signature)
+        return index, tuple(_compile(index, c) for c in self.sorted_clauses)
 
     def __str__(self) -> str:
         return "\n".join(str(c) for c in self.sorted_clauses)
@@ -152,48 +189,22 @@ def closure(kb: HornKB, seed: Iterable[str]) -> tuple[frozenset[str], bool]:
     """Least superset of seed closed under kb's clauses.
 
     Returns (closed set, inconsistent flag); the flag is set when a
-    falsum-consequent clause fires.  Counter-based: each clause keeps the
-    number of antecedent variables not yet derived, so total work is linear
-    in the size of the KB.
+    falsum-consequent clause fires.
     """
     seed = frozenset(seed)
     unknown = seed - kb.signature
     if unknown:
         raise HornSyntaxError(f"seed variables not in signature: {sorted(unknown)}")
-    watch, sizes, consequents, roots = kb._chain_index
-    remaining = list(sizes)
-    derived = set(seed)
-    inconsistent = False
-    queue = list(seed)
-
-    def fire(i: int) -> None:
-        nonlocal inconsistent
-        cons = consequents[i]
-        if cons is FALSUM:
-            inconsistent = True
-        elif cons not in derived:
-            derived.add(cons)
-            queue.append(cons)
-
-    for i in roots:
-        fire(i)
-    while queue:
-        v = queue.pop()
-        for i in watch.get(v, ()):
-            remaining[i] -= 1
-            if remaining[i] == 0:
-                fire(i)
-    return frozenset(derived), inconsistent
+    index, rules = kb._compiled
+    derived = _chain(rules, sum(index[v] for v in seed))
+    closed = frozenset(v for v, bit in index.items() if derived & bit)
+    return closed, bool(derived & _FALSUM_BIT)
 
 
 def entails(kb: HornKB, clause: HornClause) -> bool:
     """kb |= clause, by chaining from the clause antecedent (ex falso holds)."""
-    if not clause.variables <= kb.signature:
-        kb = kb.with_signature(clause.variables)
-    closed, inconsistent = closure(kb, clause.antecedent)
-    if inconsistent:
-        return True
-    return clause.consequent is not FALSUM and clause.consequent in closed
+    index, rules = kb._compiled
+    return _entails(index, rules, clause)
 
 
 def entails_all(kb: HornKB, clauses: Iterable[HornClause]) -> bool:

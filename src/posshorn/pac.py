@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .classical import ProtocolError
 from .horn import FALSUM, HornClause
 from .lift import RunStats, learn_with_mq_eq
 from .possibilistic import PossClause, PossKB, poss_entails
@@ -122,7 +123,8 @@ def pac_learn(
             if poss_entails(hypothesis, example) != label:
                 # hypothesis clauses are target-entailed, so a disagreement
                 # can only be a positive example the hypothesis misses
-                assert label, f"negative disagreement on {example}"
+                if not label:
+                    raise ProtocolError(f"negative disagreement on {example}")
                 return example
         return None
 

@@ -2,8 +2,17 @@
 
 A possibilistic clause pairs a Horn clause with a positive valuation (a lower
 bound on its necessity degree).  Entailment of (phi, a) reduces to classical
-entailment from the a-cut, so every operation here runs on top of the forward
-chaining in :mod:`posshorn.horn`.
+entailment from the a-cut, the clauses with valuation >= a.
+
+Cuts only change at the valuations occurring in the KB (its ``levels``), so
+each KB is compiled once, on first use, into a cut table: one bit index over
+its signature, the levels as integer keys on the grid of the KB precision,
+and for each level the rules of its cut in the bitset form of
+:mod:`posshorn.horn`.  A query (phi, a) bisects the keys for the least level
+>= a and chains over that level's rules; no cut KB is built.  ``val`` is a
+binary search over the levels, and equivalence is mutual entailment of the
+clauses.  :func:`cut` and :func:`projection` still build the cut KBs, for
+callers that want them as objects.
 
 The module also materializes the least-specific possibility distribution a KB
 induces over the full assignment space, which gives a second, independent
@@ -17,6 +26,7 @@ comments and blank lines ignored.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -26,11 +36,14 @@ from .horn import (
     HornClause,
     HornKB,
     HornSyntaxError,
-    assignments,
-    entails,
-    equivalent,
-    parse_clause,
+    _bit_index,
+    _compile,
+    _entails,
     _satisfies,
+    assignments,
+    entails,  # not called here; perfbench/spans.py patches both names in
+    equivalent,  # this module, so they stay importable from it
+    parse_clause,
 )
 from .valuation import Valuation
 
@@ -91,8 +104,22 @@ class PossKB:
         return max((v.prec() for v in self.levels), default=1)
 
     @cached_property
-    def _cut_cache(self) -> dict[Valuation, HornKB]:
-        return {}
+    def _cut_table(self) -> tuple[dict[str, int], int, list[int], tuple]:
+        """(variable -> bit, p, level keys, compiled rules of each cut).
+
+        The levels are keyed by their mantissas on the precision-p grid,
+        p = prec(self).  The i-th rule tuple holds the clauses with valuation
+        >= levels[i], all compiled over the one index of the KB signature.
+        """
+        index = _bit_index(self.signature)
+        p = self.prec()
+        keys = [level.scaled(p) for level in self.levels]
+        rules = [
+            (c.valuation.scaled(p), _compile(index, c.formula))
+            for c in self.sorted_clauses
+        ]
+        cuts = tuple(tuple(r for k, r in rules if k >= key) for key in keys)
+        return index, p, keys, cuts
 
     def with_signature(self, extra: Iterable[str]) -> "PossKB":
         return PossKB(self.clauses, self.signature | frozenset(extra))
@@ -114,35 +141,44 @@ def cut(kb: PossKB, a: Valuation, strict: bool = False) -> PossKB:
     return PossKB(frozenset(c for c in kb.clauses if keep(c)), kb.signature)
 
 
-def _cut_projection(kb: PossKB, a: Valuation) -> HornKB:
-    """Projection of the non-strict a-cut, memoized on the KB instance.
+def _cut_rules(kb: PossKB, a: Valuation) -> tuple[tuple[int, int], ...]:
+    """The compiled rules of the a-cut.
 
-    Cuts only change at the valuations present in the KB, so the cache is
-    keyed by the smallest KB level >= a.
+    Cuts only change at the levels of the KB, so this is the table entry of
+    the least level >= a, found by bisecting the level keys.
     """
-    key = next((v for v in kb.levels if v >= a), None)
-    if key is None:
-        return HornKB(frozenset(), kb.signature)
-    cache = kb._cut_cache
-    if key not in cache:
-        cache[key] = projection(cut(kb, key))
-    return cache[key]
+    _, p, keys, cuts = kb._cut_table
+    m, q = a.mantissa, a.precision
+    if q != p:
+        # the key of the least precision-p grid point >= a
+        m = m * 10 ** (p - q) if q < p else -(-m // 10 ** (q - p))
+    i = bisect_left(keys, m)
+    return cuts[i] if i < len(cuts) else ()
 
 
 def poss_entails(kb: PossKB, c: PossClause) -> bool:
-    """kb |= (phi, a) iff the projection of the a-cut classically entails phi."""
-    return entails(_cut_projection(kb, c.valuation), c.formula)
+    """kb |= (phi, a) iff the a-cut classically entails phi."""
+    return _entails(kb._cut_table[0], _cut_rules(kb, c.valuation), c.formula)
 
 
 def val_of(kb: PossKB, phi: HornClause) -> Valuation:
     """Largest degree at which phi is entailed; 1 for tautologies, else the
-    greatest KB level whose cut entails phi, else exact zero."""
+    greatest KB level whose cut entails phi, else exact zero.
+
+    Cuts shrink as the level rises, so the levels whose cut entails phi form
+    a prefix of ``kb.levels``; its length is found by binary search.
+    """
     if phi.is_tautology:
         return Valuation.one()
-    for level in reversed(kb.levels):
-        if entails(_cut_projection(kb, level), phi):
-            return level
-    return Valuation.zero()
+    index, _, _, cuts = kb._cut_table
+    lo, hi = 0, len(cuts)  # cuts[:lo] entail phi, cuts[hi:] do not
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _entails(index, cuts[mid], phi):
+            lo = mid + 1
+        else:
+            hi = mid
+    return kb.levels[lo - 1] if lo else Valuation.zero()
 
 
 def inc_of(kb: PossKB) -> Valuation:
@@ -151,19 +187,14 @@ def inc_of(kb: PossKB) -> Valuation:
 
 
 def poss_equivalent(a: PossKB, b: PossKB) -> bool:
-    """Equivalence via classical equivalence of cuts at every occurring level.
+    """Each KB entails every clause of the other.
 
-    Sound and complete because cuts only change at valuations present in
-    either KB; the level 1 is included for KBs with no clauses at value 1.
+    Equivalent to classical equivalence of the two cuts at every level, with
+    one chain per clause instead of one per clause and level.
     """
-    joint = a.signature | b.signature
-    levels = set(a.levels) | set(b.levels) | {Valuation.one()}
-    for level in levels:
-        ka = _cut_projection(a, level).with_signature(joint)
-        kb = _cut_projection(b, level).with_signature(joint)
-        if not equivalent(ka, kb):
-            return False
-    return True
+    return all(poss_entails(b, c) for c in a.clauses) and all(
+        poss_entails(a, c) for c in b.clauses
+    )
 
 
 # -- brute-force semantic oracle -------------------------------------------

@@ -148,7 +148,8 @@ class PossibilisticTeacher(_TeacherBase):
         if self.cex_strategy == "scripted":
             return self._next_script_entry()
         found = find_counterexample(self.target, hypothesis)
-        assert found is not None  # guarded by the equivalence check in eq()
+        if found is None:
+            raise TeacherError("no separating clause for an inequivalent hypothesis")
         positive, cex = found
         if self.cex_strategy == "clause-exact" or not positive:
             return cex
@@ -213,7 +214,8 @@ class ClassicalTeacher(_TeacherBase):
         if self.cex_strategy == "scripted":
             return self._next_script_entry()
         found = find_classical_counterexample(self.target, hypothesis)
-        assert found is not None
+        if found is None:
+            raise TeacherError("no separating clause for an inequivalent hypothesis")
         positive, cex = found
         if self.cex_strategy == "random" and positive:
             pool = [

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Iterator
 
 _LITERAL = re.compile(r"^(?:0|1|1\.0|0\.\d+)$")
@@ -26,7 +25,6 @@ class ValuationError(ValueError):
     """Raised for malformed decimal literals or out-of-range values."""
 
 
-@total_ordering
 @dataclass(frozen=True)
 class Valuation:
     """An exact decimal in [0, 1], canonicalized on construction."""
@@ -112,9 +110,38 @@ class Valuation:
         """The exact value 1 - self (same grid)."""
         return Valuation(10**self.precision - self.mantissa, self.precision)
 
+    # -- order: compare mantissas on a common grid ------------------------
+
+    def _pair(self, other: "Valuation") -> tuple[int, int]:
+        """Both mantissas scaled to the finer of the two precisions."""
+        shift = self.precision - other.precision
+        if shift >= 0:
+            return self.mantissa, other.mantissa * 10**shift
+        return self.mantissa * 10**-shift, other.mantissa
+
     def __lt__(self, other: "Valuation") -> bool:
-        p = max(self.precision, other.precision)
-        return self.scaled(p) < other.scaled(p)
+        if self.precision == other.precision:
+            return self.mantissa < other.mantissa
+        a, b = self._pair(other)
+        return a < b
+
+    def __le__(self, other: "Valuation") -> bool:
+        if self.precision == other.precision:
+            return self.mantissa <= other.mantissa
+        a, b = self._pair(other)
+        return a <= b
+
+    def __gt__(self, other: "Valuation") -> bool:
+        if self.precision == other.precision:
+            return self.mantissa > other.mantissa
+        a, b = self._pair(other)
+        return a > b
+
+    def __ge__(self, other: "Valuation") -> bool:
+        if self.precision == other.precision:
+            return self.mantissa >= other.mantissa
+        a, b = self._pair(other)
+        return a >= b
 
     def __str__(self) -> str:
         if self.is_one:

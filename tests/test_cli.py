@@ -3,7 +3,8 @@
 import json
 from pathlib import Path
 
-
+import posshorn.cli as cli
+from posshorn import WeightedClauseDistribution, parse_poss_clause
 from posshorn.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -164,6 +165,52 @@ class TestLearnCommand:
             tmp_path, "--mode", "mq-eq", "--target", str(tmp_path / "nope.pkb")
         )
         assert code == 2
+
+
+class NegativeLabels:
+    """A sampler that labels every example negative, even tautologies."""
+
+    def __init__(self, target, seed=0):
+        self.draws = 0
+
+    def sample(self):
+        self.draws += 1
+        return parse_poss_clause("p -> p @ 0.5"), False
+
+
+class TestOracleFailuresExit3:
+    """Limits and protocol breaks exit 3 with one ``error:`` line."""
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and "error:" in err
+
+    def test_precision_beyond_limit(self, tmp_path, capsys):
+        target = tmp_path / "fine.pkb"
+        target.write_text("a -> b @ 0.0000000000001\n")
+        code, _ = run_learn(tmp_path, "--mode", "mq-eq", "--target", str(target))
+        assert code == 3
+        self.assert_one_error_line(capsys)
+
+    def test_protocol_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "UniformClauseDistribution", NegativeLabels)
+        target = str(DATA / "mqeq.pkb")
+        code, _ = run_learn(tmp_path, "--mode", "pac", "--target", target)
+        assert code == 3
+        self.assert_one_error_line(capsys)
+
+    def test_sampler_exhausted(self, tmp_path, capsys, monkeypatch):
+        def exhausted(target, seed):
+            items = [parse_poss_clause("p -> q1 @ 0.1")]
+            return WeightedClauseDistribution(target, items, [1.0], seed, max_draws=0)
+
+        monkeypatch.setattr(cli, "UniformClauseDistribution", exhausted)
+        target = str(DATA / "mqeq.pkb")
+        code, _ = run_learn(tmp_path, "--mode", "pac", "--target", target)
+        assert code == 3
+        self.assert_one_error_line(capsys)
 
 
 class TestVerifyCommand:

@@ -8,6 +8,7 @@ import pytest
 from posshorn import (
     PossibilisticTeacher,
     PossKB,
+    ProtocolError,
     SamplerExhausted,
     UniformClauseDistribution,
     WeightedClauseDistribution,
@@ -116,6 +117,19 @@ class TestPacLearning:
         assert (
             ref_teacher.transcript.to_jsonl() == plain_teacher.transcript.to_jsonl()
         )
+
+
+    def test_negative_disagreement_is_a_protocol_error(self):
+        # a sampler whose labels contradict the target: the hypothesis
+        # entails the tautology, the label says no
+        class NegativeLabels:
+            def sample(self):
+                return parse_poss_clause("p -> p @ 0.5"), False
+
+        target = parse_poss_kb(WORKED_TARGET)
+        teacher = PossibilisticTeacher(target)
+        with pytest.raises(ProtocolError, match="negative disagreement"):
+            pac_learn(target.signature, NegativeLabels(), 0.1, 0.05, teacher.mq)
 
 
 class TestEmpiricalError:
