@@ -7,8 +7,9 @@ The package splits into:
   truth-table cross-check oracle;
 * :mod:`posshorn.possibilistic` - possibilistic KBs (cuts, entailment,
   degrees, inconsistency) plus the brute-force distribution semantics;
-* :mod:`posshorn.teacher` - target-holding MQ/EQ oracles with counterexample
-  strategies, query accounting, and JSON-lines transcripts;
+* :mod:`posshorn.teacher` - the target-holding MQ/EQ oracle with
+  counterexample strategies, query accounting, and JSON-lines transcripts;
+  the classical teacher is the same oracle reading its KB at degree 1;
 * :mod:`posshorn.classical` - classical Horn learners (the resumable MQ+EQ
   state machine, a bounded MQ-only learner, EQ-only enumeration);
 * :mod:`posshorn.lift` - the possibilistic lifts: level search by binary
@@ -65,7 +66,6 @@ from .classical import (
     QueryBudgetExceeded,
     clause_space,
     drive,
-    enumerate_horn_kbs,
     learn_by_eq_enumeration,
     learn_by_mq_enumeration,
 )
@@ -80,13 +80,10 @@ from .lift import (
     learn_with_mq_eq,
     learn_with_mq_levels,
     learn_with_mq_naive,
-    normalize_hypothesis,
     orchestrate_mq_eq,
 )
 from .pac import (
-    SamplerExhausted,
     UniformClauseDistribution,
-    WeightedClauseDistribution,
     empirical_error,
     pac_learn,
     sample_size,

@@ -57,9 +57,8 @@ def _cons_key(c: Optional[str]) -> tuple[bool, str]:
 class HornEntailmentLearner:
     """Resumable MQ+EQ learner for a hidden Horn KB over a known signature."""
 
-    def __init__(self, signature: Iterable[str], minimize_antecedents: bool = False):
+    def __init__(self, signature: Iterable[str]):
         self.signature = tuple(sorted(set(signature)))
-        self.minimize_antecedents = minimize_antecedents
         self.antecedents: list[frozenset[str]] = []
         self.consequents: list[set[Optional[str]]] = []
         self.steps = 0
@@ -116,19 +115,15 @@ class HornEntailmentLearner:
             raise ProtocolError("no equivalence query to answer")
         if entails(self.pending_hypothesis, cex):
             raise ProtocolError(f"counterexample already entailed: {cex}")
-        task = {
+        self._task = {
             "ant": sorted(cex.antecedent),
             "cons": cex.consequent,
-            "stage": "minimize" if self.minimize_antecedents else "scan",
-            "min_order": sorted(cex.antecedent),
-            "min_idx": 0,
             "i": 0,
             "sweep": None,
             "asked": None,
             "confirmed": None,
             "sweep_cache": {},
         }
-        self._task = task
         self._status = RUNNING
 
     def step(self) -> str:
@@ -139,13 +134,7 @@ class HornEntailmentLearner:
         if self._task is None:
             self._ask_eq()
         else:
-            stage = self._task["stage"]
-            if stage == "minimize":
-                self._step_minimize()
-            elif stage == "scan":
-                self._step_scan()
-            else:  # pragma: no cover - state corruption guard
-                raise ProtocolError(f"unknown task stage: {stage}")
+            self._step_scan()
         return self._status
 
     # -- micro-steps -----------------------------------------------------------
@@ -164,22 +153,6 @@ class HornEntailmentLearner:
     def _take_answer(self) -> Optional[bool]:
         answer, self._mq_answer = self._mq_answer, None
         return answer
-
-    def _step_minimize(self) -> None:
-        """Greedily drop antecedent variables the oracle lets go of."""
-        task = self._task
-        answer = self._take_answer()
-        if answer is True:
-            task["ant"] = [v for v in task["ant"] if v != task["min_order"][task["min_idx"] - 1]]
-        if task["min_idx"] >= len(task["min_order"]):
-            task["stage"] = "scan"
-            return
-        v = task["min_order"][task["min_idx"]]
-        task["min_idx"] += 1
-        if v not in task["ant"]:
-            return
-        reduced = frozenset(task["ant"]) - {v}
-        self._ask_mq(HornClause(reduced, task["cons"]))
 
     def _step_scan(self) -> None:
         """Find the first slot whose intersection with the counterexample
@@ -261,7 +234,6 @@ class HornEntailmentLearner:
         """Serialize the waiting/running state to a JSON document."""
         state = {
             "signature": list(self.signature),
-            "minimize_antecedents": self.minimize_antecedents,
             "antecedents": [sorted(a) for a in self.antecedents],
             "consequents": [sorted(cs, key=_cons_key) for cs in self.consequents],
             "status": self._status,
@@ -275,7 +247,9 @@ class HornEntailmentLearner:
     @classmethod
     def from_snapshot(cls, text: str) -> "HornEntailmentLearner":
         state = json.loads(text)
-        learner = cls(state["signature"], state["minimize_antecedents"])
+        # older snapshots may carry a "minimize_antecedents" field, and
+        # their tasks "stage"/"min_order"/"min_idx"; all are ignored
+        learner = cls(state["signature"])
         learner.antecedents = [frozenset(a) for a in state["antecedents"]]
         learner.consequents = [set(cs) for cs in state["consequents"]]
         learner._status = state["status"]
@@ -355,15 +329,6 @@ def learn_by_mq_enumeration(
 
 
 # -- EQ-only enumeration learner ------------------------------------------------
-
-
-def enumerate_horn_kbs(signature: Iterable[str]) -> Iterator[HornKB]:
-    """All Horn KBs over the signature, stratified by clause count."""
-    variables = sorted(set(signature))
-    clauses = list(clause_space(variables, len(variables)))
-    for size in range(len(clauses) + 1):
-        for combo in combinations(clauses, size):
-            yield HornKB.of(combo, variables)
 
 
 def learn_by_eq_enumeration(enumeration, eq, cap: int):

@@ -11,9 +11,8 @@ misconfiguration:
 * 2 - unusable input: parse errors, bad flags, missing mode requirements.
 * 3 - the oracle side gave out: scripted counterexamples exhausted or
       invalid, enumeration cap reached, query budget exceeded, a target
-      finer than the 12-digit precision limit, a violated learning protocol
-      (such as an mq-only level search that makes no progress), or a PAC
-      sampler out of draws.
+      finer than the 12-digit precision limit, or a violated learning
+      protocol (such as an mq-only level search that makes no progress).
 
 Every failure prints one ``error:`` line on stderr; no traceback escapes.
 """
@@ -48,7 +47,7 @@ from .lift import (
     learn_with_mq_eq,
     learn_with_mq_levels,
 )
-from .pac import SamplerExhausted, UniformClauseDistribution, pac_learn
+from .pac import UniformClauseDistribution, pac_learn
 from .possibilistic import (
     necessity,
     parse_poss_kb,
@@ -58,6 +57,7 @@ from .possibilistic import (
     val_of,
 )
 from .teacher import (
+    STRATEGIES,
     ClassicalTeacher,
     PossibilisticTeacher,
     ScriptExhausted,
@@ -218,19 +218,14 @@ def cmd_verify(args) -> int:
     if poss_a != poss_b:
         raise ConfigError("cannot compare a possibilistic KB with a classical one")
     if poss_a:
-        a, b = parse_poss_kb(text_a), parse_poss_kb(text_b)
-        if poss_equivalent(a, b):
-            print("equivalent")
-            return EXIT_OK
-        witness = find_counterexample(a, b)
+        witness = find_counterexample(parse_poss_kb(text_a), parse_poss_kb(text_b))
     else:
-        a, b = parse_horn_kb(text_a), parse_horn_kb(text_b)
-        if equivalent(a, b):
-            print("equivalent")
-            return EXIT_OK
-        witness = find_classical_counterexample(a, b)
+        witness = find_classical_counterexample(
+            parse_horn_kb(text_a), parse_horn_kb(text_b)
+        )
     if witness is None:
-        raise TeacherError("inequivalent KBs with no separating clause")
+        print("equivalent")
+        return EXIT_OK
     positive, clause = witness
     side = "first" if positive else "second"
     print(f"not equivalent; witness entailed only by the {side} KB: {clause}")
@@ -274,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--precision", type=int, default=None, help="mq-only grid precision")
     learn.add_argument(
         "--cex-strategy",
-        choices=("clause-exact", "adversarial-low", "random", "scripted"),
+        choices=STRATEGIES,
         default="clause-exact",
     )
     learn.add_argument("--script", default=None, help="counterexample replay file")
@@ -321,7 +316,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         QueryBudgetExceeded,
         PrecisionTooLow,
         ProtocolError,
-        SamplerExhausted,
     ) as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_ORACLE

@@ -207,13 +207,11 @@ def entails(kb: HornKB, clause: HornClause) -> bool:
     return _entails(index, rules, clause)
 
 
-def entails_all(kb: HornKB, clauses: Iterable[HornClause]) -> bool:
-    return all(entails(kb, c) for c in clauses)
-
-
 def equivalent(a: HornKB, b: HornKB) -> bool:
-    """Mutual entailment of all clauses (entails lifts signatures as needed)."""
-    return entails_all(b, a.clauses) and entails_all(a, b.clauses)
+    """Each KB entails every clause of the other."""
+    return all(entails(b, c) for c in a.clauses) and all(
+        entails(a, c) for c in b.clauses
+    )
 
 
 class SignatureCapExceeded(RuntimeError):

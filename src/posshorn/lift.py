@@ -192,24 +192,6 @@ def learn_with_eq_enumeration(eq: PossEQ, signature, cap: int) -> PossKB:
     return learn_by_eq_enumeration(enumerate_poss_kbs(signature), eq, cap)
 
 
-# -- hypothesis normalization ----------------------------------------------------
-
-
-def normalize_hypothesis(h: PossKB, p: int, mq: PossMQ) -> PossKB:
-    """Replace each clause valuation by its discovered degree at precision p.
-
-    Requires every clause to be entailed by the target; a clause whose
-    degree comes back zero is a contract violation by the caller.
-    """
-    out = []
-    for c in h.sorted_clauses:
-        beta = find_valuation(mq, p, c.formula)
-        if beta.is_zero:
-            raise ProtocolError(f"hypothesis clause not entailed by target: {c.formula}")
-        out.append(PossClause(c.formula, beta))
-    return PossKB.of(out, h.signature)
-
-
 # -- the MQ+EQ orchestrator -------------------------------------------------------
 
 

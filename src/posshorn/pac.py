@@ -20,17 +20,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .classical import ProtocolError
 from .horn import FALSUM, HornClause
 from .lift import RunStats, learn_with_mq_eq
 from .possibilistic import PossClause, PossKB, poss_entails
 from .valuation import Valuation
-
-
-class SamplerExhausted(RuntimeError):
-    """A finite user-supplied sample list ran out of draws."""
 
 
 @dataclass
@@ -61,30 +57,6 @@ class UniformClauseDistribution:
         q = self.valuation_precision
         valuation = Valuation(rng.randint(1, 10**q), q)
         example = PossClause(HornClause(antecedent, consequent), valuation)
-        self.draws += 1
-        return example, poss_entails(self.target, example)
-
-
-@dataclass
-class WeightedClauseDistribution:
-    """Draws from a finite weighted list of examples, labels from the target."""
-
-    target: PossKB
-    items: Sequence[PossClause]
-    weights: Sequence[float]
-    seed: int
-    max_draws: Optional[int] = None
-    draws: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        if len(self.items) != len(self.weights):
-            raise ValueError("items and weights must have equal length")
-        self._rng = random.Random(self.seed)
-
-    def sample(self) -> tuple[PossClause, bool]:
-        if self.max_draws is not None and self.draws >= self.max_draws:
-            raise SamplerExhausted(f"distribution limited to {self.max_draws} draws")
-        example = self._rng.choices(list(self.items), weights=list(self.weights))[0]
         self.draws += 1
         return example, poss_entails(self.target, example)
 

@@ -133,12 +133,9 @@ def projection(kb: PossKB) -> HornKB:
     return HornKB(frozenset(c.formula for c in kb.clauses), kb.signature)
 
 
-def cut(kb: PossKB, a: Valuation, strict: bool = False) -> PossKB:
-    """Clauses with valuation >= a (or > a when strict)."""
-    keep = (
-        (lambda c: c.valuation > a) if strict else (lambda c: c.valuation >= a)
-    )
-    return PossKB(frozenset(c for c in kb.clauses if keep(c)), kb.signature)
+def cut(kb: PossKB, a: Valuation) -> PossKB:
+    """Clauses with valuation >= a."""
+    return PossKB(frozenset(c for c in kb.clauses if c.valuation >= a), kb.signature)
 
 
 def _cut_rules(kb: PossKB, a: Valuation) -> tuple[tuple[int, int], ...]:

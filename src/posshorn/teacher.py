@@ -1,8 +1,19 @@
 """Target-holding oracles answering membership and equivalence queries.
 
 A teacher owns a fixed hidden target, counts every query, logs every event,
-and never exposes the target to the learner side.  Counterexample selection
-is pluggable:
+and never exposes the target to the learner side.
+
+There is one teacher, :class:`PossibilisticTeacher`.  A classical Horn KB k
+is the possibilistic KB {(phi, 1) | phi in k}, so :class:`ClassicalTeacher`
+is that teacher at degree 1: it lifts its target, its script and every
+submitted hypothesis to degree 1, answers through the possibilistic oracles,
+and projects each counterexample back to its formula.  Its transcript shows
+no degrees: membership queries record a null valuation.  ``adversarial-low``
+gives it the ``clause-exact`` formula, as the projection drops the degree.
+
+An equivalence query is one scan: :func:`find_counterexample` returns None
+exactly when hypothesis and target are equivalent, which answers yes.
+Otherwise the strategy picks the counterexample from that scan's result:
 
 * ``clause-exact``   - first target clause not entailed by the hypothesis
                        (deterministic canonical scan order);
@@ -12,20 +23,26 @@ is pluggable:
 * ``random``         - uniform choice among the violated clauses;
 * ``scripted``       - fixed replay list, each entry validated before use.
 
-Every returned counterexample is checked to actually separate target and
-hypothesis; a scripted entry that does not is a hard error rather than a
-silently wrong session.
+Negative counterexamples (entailed by the hypothesis only) are returned as
+found by every strategy but ``scripted``.  Every returned counterexample is
+checked to actually separate target and hypothesis; a scripted entry that
+does not is a hard error rather than a silently wrong session.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .horn import HornClause, HornKB, entails, equivalent
-from .possibilistic import PossClause, PossKB, poss_entails, poss_equivalent, val_of
+from .horn import HornClause, HornKB
+from .possibilistic import PossClause, PossKB, poss_entails, val_of
 from .transcript import Transcript
 from .valuation import Valuation
+
+# not called here; perfbench/spans.py patches these names in this module,
+# so they stay importable from it
+from .horn import entails, equivalent
+from .possibilistic import poss_equivalent
 
 STRATEGIES = ("clause-exact", "adversarial-low", "random", "scripted")
 
@@ -55,48 +72,21 @@ def find_counterexample(
     return None
 
 
+def _at_one(kb: HornKB) -> PossKB:
+    """The classical KB read possibilistically: every clause at degree 1."""
+    one = Valuation.one()
+    return PossKB(frozenset(PossClause(c, one) for c in kb.clauses), kb.signature)
+
+
 def find_classical_counterexample(
     target: HornKB, hypothesis: HornKB
 ) -> Optional[tuple[bool, HornClause]]:
-    for c in target.sorted_clauses:
-        if not entails(hypothesis, c):
-            return True, c
-    for c in hypothesis.sorted_clauses:
-        if not entails(target, c):
-            return False, c
-    return None
+    """:func:`find_counterexample` on the degree-1 readings of both KBs."""
+    found = find_counterexample(_at_one(target), _at_one(hypothesis))
+    return None if found is None else (found[0], found[1].formula)
 
 
-class _TeacherBase:
-    def __init__(
-        self,
-        cex_strategy: str,
-        rng_seed: int,
-        script: Optional[Sequence] = None,
-    ) -> None:
-        if cex_strategy not in STRATEGIES:
-            raise TeacherError(f"unknown strategy: {cex_strategy!r}")
-        if cex_strategy == "scripted" and script is None:
-            raise TeacherError("scripted strategy requires a script")
-        self.cex_strategy = cex_strategy
-        self.rng = random.Random(rng_seed)
-        self.script = list(script) if script is not None else []
-        self._script_pos = 0
-        self.transcript = Transcript()
-        self.mq_count = 0
-        self.eq_count = 0
-
-    def _next_script_entry(self):
-        if self._script_pos >= len(self.script):
-            raise ScriptExhausted(
-                "script exhausted while hypothesis is not equivalent to the target"
-            )
-        entry = self.script[self._script_pos]
-        self._script_pos += 1
-        return entry
-
-
-class PossibilisticTeacher(_TeacherBase):
+class PossibilisticTeacher:
     """MQ/EQ oracle pair for a hidden possibilistic Horn target."""
 
     def __init__(
@@ -107,50 +97,69 @@ class PossibilisticTeacher(_TeacherBase):
         script: Optional[Sequence[PossClause]] = None,
         cex_precision: int = 2,
     ) -> None:
-        super().__init__(cex_strategy, rng_seed, script)
+        if cex_strategy not in STRATEGIES:
+            raise TeacherError(f"unknown strategy: {cex_strategy!r}")
+        if cex_strategy == "scripted" and script is None:
+            raise TeacherError("scripted strategy requires a script")
         self.target = target
+        self.cex_strategy = cex_strategy
+        self.rng = random.Random(rng_seed)
+        self.script = list(script) if script is not None else []
+        self._script_pos = 0
         self.cex_precision = cex_precision
+        self.transcript = Transcript()
+        self.mq_count = 0
+        self.eq_count = 0
 
     @property
     def signature(self) -> frozenset[str]:
         return self.target.signature
 
     def mq(self, formula: HornClause, valuation: Valuation, *, instance: str = "") -> bool:
+        return self._answer_mq(formula, valuation, str(valuation), instance)
+
+    def eq(self, hypothesis: PossKB, *, instance: str = "") -> Optional[PossClause]:
+        """None means yes; otherwise a counterexample chosen by the strategy."""
+        return self._answer_eq(hypothesis, str, instance)
+
+    def _answer_mq(
+        self, formula: HornClause, valuation: Valuation, shown: Optional[str], instance: str
+    ) -> bool:
         if not formula.variables <= self.target.signature:
             extra = sorted(formula.variables - self.target.signature)
             raise TeacherError(f"membership query outside target signature: {extra}")
         answer = poss_entails(self.target, PossClause(formula, valuation))
         self.mq_count += 1
         self.transcript.record(
-            "mq", str(formula), str(valuation), "yes" if answer else "no", instance
+            "mq", str(formula), shown, "yes" if answer else "no", instance
         )
         return answer
 
-    def eq(self, hypothesis: PossKB, *, instance: str = "") -> Optional[PossClause]:
-        """None means yes; otherwise a counterexample chosen by the strategy."""
+    def _answer_eq(
+        self, hypothesis: PossKB, show: Callable[[PossClause], str], instance: str
+    ) -> Optional[PossClause]:
         self.eq_count += 1
-        input_text = "; ".join(str(c) for c in hypothesis.sorted_clauses)
-        if poss_equivalent(hypothesis, self.target):
-            self.transcript.record("eq", input_text, None, "yes", instance)
-            return None
-        cex = self._choose_counterexample(hypothesis)
-        self._check_sound(cex, hypothesis)
-        self.transcript.record("eq", input_text, None, str(cex), instance)
-        return cex
-
-    def _check_sound(self, cex: PossClause, hypothesis: PossKB) -> None:
-        t_side = poss_entails(self.target, cex)
-        h_side = poss_entails(hypothesis, cex)
-        if t_side == h_side:
-            raise TeacherError(f"not a counterexample for this hypothesis: {cex}")
-
-    def _choose_counterexample(self, hypothesis: PossKB) -> PossClause:
-        if self.cex_strategy == "scripted":
-            return self._next_script_entry()
+        input_text = "; ".join(show(c) for c in hypothesis.sorted_clauses)
         found = find_counterexample(self.target, hypothesis)
         if found is None:
-            raise TeacherError("no separating clause for an inequivalent hypothesis")
-        positive, cex = found
+            self.transcript.record("eq", input_text, None, "yes", instance)
+            return None
+        cex = self._choose_counterexample(hypothesis, *found)
+        if poss_entails(self.target, cex) == poss_entails(hypothesis, cex):
+            raise TeacherError(f"not a counterexample for this hypothesis: {show(cex)}")
+        self.transcript.record("eq", input_text, None, show(cex), instance)
+        return cex
+
+    def _choose_counterexample(
+        self, hypothesis: PossKB, positive: bool, cex: PossClause
+    ) -> PossClause:
+        if self.cex_strategy == "scripted":
+            if self._script_pos >= len(self.script):
+                raise ScriptExhausted(
+                    "script exhausted while hypothesis is not equivalent to the target"
+                )
+            self._script_pos += 1
+            return self.script[self._script_pos - 1]
         if self.cex_strategy == "clause-exact" or not positive:
             return cex
         if self.cex_strategy == "random":
@@ -168,8 +177,12 @@ class PossibilisticTeacher(_TeacherBase):
         return PossClause(phi, Valuation(pick, p))
 
 
-class ClassicalTeacher(_TeacherBase):
-    """MQ/EQ oracle pair for a hidden classical Horn target."""
+def _formula_text(c: PossClause) -> str:
+    return str(c.formula)
+
+
+class ClassicalTeacher(PossibilisticTeacher):
+    """MQ/EQ oracle pair for a hidden classical Horn target, read at degree 1."""
 
     def __init__(
         self,
@@ -178,49 +191,13 @@ class ClassicalTeacher(_TeacherBase):
         rng_seed: int = 0,
         script: Optional[Sequence[HornClause]] = None,
     ) -> None:
-        super().__init__(cex_strategy, rng_seed, script)
-        self.target = target
-
-    @property
-    def signature(self) -> frozenset[str]:
-        return self.target.signature
+        one = Valuation.one()
+        lifted = None if script is None else [PossClause(c, one) for c in script]
+        super().__init__(_at_one(target), cex_strategy, rng_seed, lifted)
 
     def mq(self, formula: HornClause, *, instance: str = "") -> bool:
-        if not formula.variables <= self.target.signature:
-            extra = sorted(formula.variables - self.target.signature)
-            raise TeacherError(f"membership query outside target signature: {extra}")
-        answer = entails(self.target, formula)
-        self.mq_count += 1
-        self.transcript.record(
-            "mq", str(formula), None, "yes" if answer else "no", instance
-        )
-        return answer
+        return self._answer_mq(formula, Valuation.one(), None, instance)
 
     def eq(self, hypothesis: HornKB, *, instance: str = "") -> Optional[HornClause]:
-        self.eq_count += 1
-        input_text = "; ".join(str(c) for c in hypothesis.sorted_clauses)
-        if equivalent(hypothesis, self.target):
-            self.transcript.record("eq", input_text, None, "yes", instance)
-            return None
-        cex = self._choose_counterexample(hypothesis)
-        t_side = entails(self.target, cex)
-        h_side = entails(hypothesis, cex)
-        if t_side == h_side:
-            raise TeacherError(f"not a counterexample for this hypothesis: {cex}")
-        self.transcript.record("eq", input_text, None, str(cex), instance)
-        return cex
-
-    def _choose_counterexample(self, hypothesis: HornKB) -> HornClause:
-        if self.cex_strategy == "scripted":
-            return self._next_script_entry()
-        found = find_classical_counterexample(self.target, hypothesis)
-        if found is None:
-            raise TeacherError("no separating clause for an inequivalent hypothesis")
-        positive, cex = found
-        if self.cex_strategy == "random" and positive:
-            pool = [
-                c for c in self.target.sorted_clauses if not entails(hypothesis, c)
-            ]
-            return self.rng.choice(pool)
-        # adversarial-low has no valuation to lower classically
-        return cex
+        cex = self._answer_eq(_at_one(hypothesis), _formula_text, instance)
+        return None if cex is None else cex.formula

@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +20,6 @@ from posshorn import (
     clause_space,
     drive,
     entails,
-    enumerate_horn_kbs,
     equivalent,
     learn_by_eq_enumeration,
     learn_by_mq_enumeration,
@@ -200,16 +200,6 @@ class TestEndToEnd:
             learner = HornEntailmentLearner(teacher.signature)
             assert equivalent(drive(learner, teacher.mq, teacher.eq), target)
 
-    def test_minimization_flag_still_exact(self):
-        rng = random.Random(4000)
-        for _ in range(30):
-            target = random_horn_kb(rng, 6, 8)
-            teacher = ClassicalTeacher(target)
-            learner = HornEntailmentLearner(
-                teacher.signature, minimize_antecedents=True
-            )
-            assert equivalent(drive(learner, teacher.mq, teacher.eq), target)
-
 
 class TestSnapshots:
     def test_snapshot_schema_fields(self):
@@ -218,7 +208,6 @@ class TestSnapshots:
         state = json.loads(learner.to_snapshot())
         assert set(state) == {
             "signature",
-            "minimize_antecedents",
             "antecedents",
             "consequents",
             "status",
@@ -288,11 +277,19 @@ class TestMqOnlyEnumeration:
             assert not clause.is_tautology
 
 
+def all_horn_kbs(signature):
+    """Every Horn KB over the signature, fewest clauses first."""
+    clauses = list(clause_space(signature, len(signature)))
+    for size in range(len(clauses) + 1):
+        for combo in combinations(clauses, size):
+            yield HornKB.of(combo, signature)
+
+
 class TestEqOnlyEnumeration:
     def test_empty_target_found_first(self):
         teacher = ClassicalTeacher(HornKB.of((), ["a", "b"]))
         found = learn_by_eq_enumeration(
-            enumerate_horn_kbs(["a", "b"]), teacher.eq, cap=10
+            all_horn_kbs(["a", "b"]), teacher.eq, cap=10
         )
         assert not found.clauses
 
@@ -301,7 +298,7 @@ class TestEqOnlyEnumeration:
         target = HornKB.of(target.clauses, ["a", "b"])
         teacher = ClassicalTeacher(target)
         found = learn_by_eq_enumeration(
-            enumerate_horn_kbs(["a", "b"]), teacher.eq, cap=100
+            all_horn_kbs(["a", "b"]), teacher.eq, cap=100
         )
         assert equivalent(found, target)
         # within the <=1-clause strata: 1 empty KB + at most 6 single clauses
@@ -311,5 +308,5 @@ class TestEqOnlyEnumeration:
         teacher = ClassicalTeacher(parse_horn_kb("a -> b\nb -> c"))
         with pytest.raises(EnumerationCapReached):
             learn_by_eq_enumeration(
-                enumerate_horn_kbs(["a", "b", "c"]), teacher.eq, cap=2
+                all_horn_kbs(["a", "b", "c"]), teacher.eq, cap=2
             )

@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 import posshorn.cli as cli
-from posshorn import WeightedClauseDistribution, parse_poss_clause
+from posshorn import parse_poss_clause
 from posshorn.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -196,17 +196,6 @@ class TestOracleFailuresExit3:
 
     def test_protocol_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "UniformClauseDistribution", NegativeLabels)
-        target = str(DATA / "mqeq.pkb")
-        code, _ = run_learn(tmp_path, "--mode", "pac", "--target", target)
-        assert code == 3
-        self.assert_one_error_line(capsys)
-
-    def test_sampler_exhausted(self, tmp_path, capsys, monkeypatch):
-        def exhausted(target, seed):
-            items = [parse_poss_clause("p -> q1 @ 0.1")]
-            return WeightedClauseDistribution(target, items, [1.0], seed, max_draws=0)
-
-        monkeypatch.setattr(cli, "UniformClauseDistribution", exhausted)
         target = str(DATA / "mqeq.pkb")
         code, _ = run_learn(tmp_path, "--mode", "pac", "--target", target)
         assert code == 3

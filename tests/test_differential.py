@@ -19,6 +19,8 @@ from posshorn import (
     PossKB,
     Valuation,
     entails,
+    find_classical_counterexample,
+    find_counterexample,
     necessity,
     pi_k,
     poss_entails,
@@ -128,6 +130,64 @@ class TestPossibilisticEntailment:
         index = kb._cut_table[0]
         expected = [_compile(index, c.formula) for c in kb.clauses if c.valuation >= a]
         assert sorted(_cut_rules(kb, a)) == sorted(expected)
+
+
+@st.composite
+def poss_kb_pairs(draw):
+    """(a, b) over one signature: b drops some clauses of a, adds clauses a
+    entails at most at their degree (at any precision up to 3), and
+    sometimes one arbitrary clause, so equivalent and inequivalent pairs,
+    and counterexamples on either side, are all common."""
+    a = draw(poss_kbs(max_vars=4, max_clauses=5))
+    names = sorted(a.signature)
+    kept = [c for c in a.sorted_clauses if draw(st.booleans()) or draw(st.booleans())]
+    for phi in draw(st.lists(clauses(names), max_size=3)):
+        degree = val_of(a, phi)
+        if not degree.is_zero:
+            kept.append(PossClause(phi, draw(positive.filter(lambda v: v <= degree))))
+    if draw(st.booleans()):
+        kept.append(PossClause(draw(clauses(names)), draw(positive)))
+    return a, PossKB.of(kept, a.signature)
+
+
+@st.composite
+def horn_kb_pairs(draw):
+    """(a, b) built like :func:`poss_kb_pairs`, classically; b may use
+    variables outside the signature of a."""
+    a = draw(horn_kbs())
+    names = sorted(a.signature) + ["y0"]
+    kept = [c for c in a.sorted_clauses if draw(st.booleans()) or draw(st.booleans())]
+    kept += [phi for phi in draw(st.lists(clauses(names), max_size=3)) if tt_entails(a, phi)]
+    if draw(st.booleans()):
+        kept.append(draw(clauses(names)))
+    return a, HornKB.of(kept, a.signature)
+
+
+class TestSeparatingClauseScan:
+    @SETTINGS
+    @given(poss_kb_pairs())
+    def test_none_iff_same_distribution(self, pair):
+        a, b = pair
+        found = find_counterexample(a, b)
+        assert (found is None) == (pi_k(a) == pi_k(b))
+        if found is not None:
+            positive, c = found
+            assert poss_entails(a, c) == positive
+            assert poss_entails(b, c) != positive
+
+    @SETTINGS
+    @given(horn_kb_pairs())
+    def test_classical_none_iff_mutual_truth_table_entailment(self, pair):
+        a, b = pair
+        found = find_classical_counterexample(a, b)
+        mutual = all(tt_entails(b, c) for c in a.clauses) and all(
+            tt_entails(a, c) for c in b.clauses
+        )
+        assert (found is None) == mutual
+        if found is not None:
+            positive, c = found
+            assert tt_entails(a, c) == positive
+            assert tt_entails(b, c) != positive
 
 
 class TestValuationOrder:

@@ -11,7 +11,6 @@ from posshorn import (
     PossibilisticTeacher,
     PossKB,
     PrecisionTooLow,
-    ProtocolError,
     RunStats,
     Valuation,
     assemble,
@@ -25,7 +24,6 @@ from posshorn import (
     learn_with_mq_eq,
     learn_with_mq_levels,
     learn_with_mq_naive,
-    normalize_hypothesis,
     orchestrate_mq_eq,
     parse_clause,
     parse_horn_kb,
@@ -233,33 +231,6 @@ class TestEqOnlyEnumeration:
             assert poss_equivalent(learned, PossKB.of(target.clauses, sig))
             queries[name] = teacher.eq_count
         assert queries["fine"] > queries["coarse"]
-
-
-class TestNormalizeHypothesis:
-    def test_lifts_low_valuation(self):
-        target = parse_poss_kb(WORKED_TARGET)
-        mq, _, _ = target_oracles(target)
-        h = parse_poss_kb("p -> q1 @ 0.1")
-        out = normalize_hypothesis(h, 1, mq)
-        assert {str(c) for c in out.clauses} == {"p -> q1 @ 0.3"}
-
-    def test_idempotent_on_normalized(self):
-        target = parse_poss_kb(WORKED_TARGET)
-        mq, _, _ = target_oracles(target)
-        h = parse_poss_kb("p -> q1 @ 0.3\np -> q2 @ 0.7")
-        assert normalize_hypothesis(h, 1, mq) == h
-
-    def test_truncated_degree_at_working_precision(self):
-        target = parse_poss_kb(WORKED_TARGET)
-        mq, _, _ = target_oracles(target)
-        out = normalize_hypothesis(parse_poss_kb("p -> q2 @ 0.21"), 1, mq)
-        assert {str(c) for c in out.clauses} == {"p -> q2 @ 0.7"}
-
-    def test_rejects_unentailed_clause(self):
-        target = parse_poss_kb(WORKED_TARGET)
-        mq, _, _ = target_oracles(target)
-        with pytest.raises(ProtocolError):
-            normalize_hypothesis(parse_poss_kb("q1 -> p @ 0.1"), 1, mq)
 
 
 class TestOrchestrator:

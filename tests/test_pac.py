@@ -9,9 +9,7 @@ from posshorn import (
     PossibilisticTeacher,
     PossKB,
     ProtocolError,
-    SamplerExhausted,
     UniformClauseDistribution,
-    WeightedClauseDistribution,
     empirical_error,
     pac_learn,
     parse_poss_clause,
@@ -55,19 +53,6 @@ class TestDistributions:
         a = UniformClauseDistribution(target, seed=5)
         b = UniformClauseDistribution(target, seed=5)
         assert [a.sample() for _ in range(50)] == [b.sample() for _ in range(50)]
-
-    def test_weighted_list_and_exhaustion(self):
-        target = parse_poss_kb(WORKED_TARGET)
-        items = [parse_poss_clause("p -> q1 @ 0.1"), parse_poss_clause("p -> q1 @ 0.9")]
-        dist = WeightedClauseDistribution(
-            target, items, weights=[1.0, 1.0], seed=0, max_draws=10
-        )
-        expected = {"p -> q1 @ 0.1": True, "p -> q1 @ 0.9": False}
-        for _ in range(10):
-            example, label = dist.sample()
-            assert label == expected[str(example)]
-        with pytest.raises(SamplerExhausted):
-            dist.sample()
 
 
 class TestPacLearning:

@@ -47,11 +47,6 @@ class TestProjectionAndCuts:
     def test_cut_at_top_level(self, target):
         assert {str(c) for c in cut(target, v("0.7")).clauses} == {"p -> q2 @ 0.7"}
 
-    def test_strict_cut_drops_the_boundary(self, target):
-        assert {str(c) for c in cut(target, v("0.3"), strict=True).clauses} == {
-            "p -> q2 @ 0.7"
-        }
-
     def test_cut_at_minimum_keeps_everything(self, target):
         assert cut(target, min(target.levels)).clauses == target.clauses
 

@@ -6,11 +6,14 @@ import pytest
 
 from posshorn import (
     ClassicalTeacher,
+    HornEntailmentLearner,
+    HornKB,
     PossibilisticTeacher,
     ScriptExhausted,
     TeacherError,
     PossKB,
     Valuation,
+    drive,
     find_counterexample,
     parse_clause,
     parse_horn_kb,
@@ -192,3 +195,71 @@ class TestClassicalTeacher:
         cex = teacher.eq(parse_horn_kb("a -> b"))
         assert str(cex) == "b -> c"
         assert teacher.eq(parse_horn_kb("a -> b\nb -> c\na -> c")) is None
+
+
+# Classical sessions on one target, one block per strategy: a full drive()
+# run, then one EQ on an over-general hypothesis (a negative counterexample).
+# Recorded before the classical teacher became the possibilistic teacher
+# at degree 1; the bytes must not change.
+CLASSICAL_TARGET = "a -> b\nb,c -> false"
+CLASSICAL_SCRIPT = "a,c -> false; b,c -> false; a -> b; b -> a"
+CLASSICAL_CLAUSE_EXACT = """\
+{"event": "eq", "input": "", "valuation": null, "answer": "a -> b", "instance": "learner", "index": 1}
+{"event": "eq", "input": "a -> b", "valuation": null, "answer": "b,c -> false", "instance": "learner", "index": 2}
+{"event": "mq", "input": "true -> a", "valuation": null, "answer": "no", "instance": "learner", "index": 3}
+{"event": "mq", "input": "true -> b", "valuation": null, "answer": "no", "instance": "learner", "index": 4}
+{"event": "mq", "input": "true -> c", "valuation": null, "answer": "no", "instance": "learner", "index": 5}
+{"event": "mq", "input": "true -> false", "valuation": null, "answer": "no", "instance": "learner", "index": 6}
+{"event": "eq", "input": "a -> b; b,c -> false", "valuation": null, "answer": "yes", "instance": "learner", "index": 7}
+{"event": "eq", "input": "a -> b; b -> a; b,c -> false", "valuation": null, "answer": "b -> a", "instance": "check", "index": 8}
+"""
+CLASSICAL_RANDOM_SEED_5 = """\
+{"event": "eq", "input": "", "valuation": null, "answer": "b,c -> false", "instance": "learner", "index": 1}
+{"event": "eq", "input": "b,c -> false", "valuation": null, "answer": "a -> b", "instance": "learner", "index": 2}
+{"event": "mq", "input": "true -> a", "valuation": null, "answer": "no", "instance": "learner", "index": 3}
+{"event": "mq", "input": "true -> b", "valuation": null, "answer": "no", "instance": "learner", "index": 4}
+{"event": "mq", "input": "true -> c", "valuation": null, "answer": "no", "instance": "learner", "index": 5}
+{"event": "mq", "input": "true -> false", "valuation": null, "answer": "no", "instance": "learner", "index": 6}
+{"event": "eq", "input": "a -> b; b,c -> false", "valuation": null, "answer": "yes", "instance": "learner", "index": 7}
+{"event": "eq", "input": "a -> b; b -> a; b,c -> false", "valuation": null, "answer": "b -> a", "instance": "check", "index": 8}
+"""
+CLASSICAL_SCRIPTED = """\
+{"event": "eq", "input": "", "valuation": null, "answer": "a,c -> false", "instance": "learner", "index": 1}
+{"event": "eq", "input": "a,c -> false", "valuation": null, "answer": "b,c -> false", "instance": "learner", "index": 2}
+{"event": "mq", "input": "c -> a", "valuation": null, "answer": "no", "instance": "learner", "index": 3}
+{"event": "mq", "input": "c -> b", "valuation": null, "answer": "no", "instance": "learner", "index": 4}
+{"event": "mq", "input": "c -> false", "valuation": null, "answer": "no", "instance": "learner", "index": 5}
+{"event": "eq", "input": "a,c -> false; b,c -> false", "valuation": null, "answer": "a -> b", "instance": "learner", "index": 6}
+{"event": "mq", "input": "a -> b", "valuation": null, "answer": "yes", "instance": "learner", "index": 7}
+{"event": "mq", "input": "a -> c", "valuation": null, "answer": "no", "instance": "learner", "index": 8}
+{"event": "mq", "input": "a -> false", "valuation": null, "answer": "no", "instance": "learner", "index": 9}
+{"event": "eq", "input": "a -> b; b,c -> false", "valuation": null, "answer": "yes", "instance": "learner", "index": 10}
+{"event": "eq", "input": "a -> b; b -> a; b,c -> false", "valuation": null, "answer": "b -> a", "instance": "check", "index": 11}
+"""
+
+
+CLASSICAL_EXPECTED = {
+    "clause-exact": CLASSICAL_CLAUSE_EXACT,
+    # no degree to lower classically: the clause-exact formula
+    "adversarial-low": CLASSICAL_CLAUSE_EXACT,
+    "random": CLASSICAL_RANDOM_SEED_5,
+    "scripted": CLASSICAL_SCRIPTED,
+}
+
+
+class TestClassicalTranscripts:
+    @pytest.mark.parametrize("strategy", sorted(CLASSICAL_EXPECTED))
+    def test_session_bytes(self, strategy):
+        target = parse_horn_kb(CLASSICAL_TARGET)
+        script = [parse_clause(s) for s in CLASSICAL_SCRIPT.split("; ")]
+        teacher = ClassicalTeacher(
+            target, cex_strategy=strategy, rng_seed=5, script=script
+        )
+        drive(
+            HornEntailmentLearner(teacher.signature),
+            lambda c: teacher.mq(c, instance="learner"),
+            lambda kb: teacher.eq(kb, instance="learner"),
+        )
+        over = HornKB.of(target.clauses | {parse_clause("b -> a")}, target.signature)
+        assert teacher.eq(over, instance="check") == parse_clause("b -> a")
+        assert teacher.transcript.to_jsonl() == CLASSICAL_EXPECTED[strategy]
