@@ -63,7 +63,6 @@ from .classical import (
     EnumerationCapReached,
     HornEntailmentLearner,
     ProtocolError,
-    QueryBudgetExceeded,
     clause_space,
     drive,
     learn_by_eq_enumeration,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
-from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
 from .horn import FALSUM, HornClause, HornKB, entails
@@ -40,10 +39,6 @@ DONE = "done"
 
 class ProtocolError(RuntimeError):
     """The learning-system message protocol was violated."""
-
-
-class QueryBudgetExceeded(RuntimeError):
-    """The clause space is larger than the configured query budget."""
 
 
 class EnumerationCapReached(RuntimeError):
@@ -306,24 +301,13 @@ def clause_space(
             yield HornClause(body, FALSUM)
 
 
-def clause_space_size(n_variables: int, max_antecedent: int) -> int:
-    bound = min(max_antecedent, n_variables)
-    return sum(comb(n_variables, i) * (n_variables - i + 1) for i in range(bound + 1))
-
-
 def learn_by_mq_enumeration(
     signature: Iterable[str],
     max_antecedent: int,
     mq: Callable[[HornClause], bool],
-    max_queries: Optional[int] = None,
 ) -> HornKB:
     """Confirm every candidate clause; exact for targets within the bound."""
     variables = sorted(set(signature))
-    space = clause_space_size(len(variables), max_antecedent)
-    if max_queries is not None and space > max_queries:
-        raise QueryBudgetExceeded(
-            f"clause space {space} exceeds the query budget {max_queries}"
-        )
     confirmed = [c for c in clause_space(variables, max_antecedent) if mq(c)]
     return HornKB.of(confirmed, variables)
 

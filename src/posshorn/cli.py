@@ -10,9 +10,9 @@ misconfiguration:
       found a discrepancy.
 * 2 - unusable input: parse errors, bad flags, missing mode requirements.
 * 3 - the oracle side gave out: scripted counterexamples exhausted or
-      invalid, enumeration cap reached, query budget exceeded, a target
-      finer than the 12-digit precision limit, or a violated learning
-      protocol (such as an mq-only level search that makes no progress).
+      invalid, enumeration cap reached, a target finer than the 12-digit
+      precision limit, or a violated learning protocol (such as an mq-only
+      level search that makes no progress).
 
 Every failure prints one ``error:`` line on stderr; no traceback escapes.
 """
@@ -28,7 +28,6 @@ from .classical import (
     EnumerationCapReached,
     HornEntailmentLearner,
     ProtocolError,
-    QueryBudgetExceeded,
     clause_space,
     drive,
 )
@@ -39,6 +38,7 @@ from .horn import (
     equivalent,
     parse_clause,
     parse_horn_kb,
+    parse_lines,
 )
 from .lift import (
     PrecisionTooLow,
@@ -88,24 +88,12 @@ def _read(path: str) -> str:
 
 
 def _is_possibilistic_text(text: str) -> bool:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return "@" in line
-    return True
+    lines = parse_lines(text, str)
+    return not lines or "@" in lines[0]
 
 
 def _load_script(path: str, possibilistic: bool):
-    entries = []
-    for raw in _read(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if possibilistic:
-            entries.append(parse_poss_clause(line))
-        else:
-            entries.append(parse_clause(line))
-    return entries
+    return parse_lines(_read(path), parse_poss_clause if possibilistic else parse_clause)
 
 
 def _write_outputs(args, hypothesis, teacher, stats: RunStats) -> None:
@@ -131,6 +119,8 @@ def cmd_learn(args) -> int:
         raise ConfigError("mq-only mode requires --precision")
     if args.cex_strategy == "scripted" and args.script is None:
         raise ConfigError("scripted strategy requires --script")
+    if args.mode == "pac" and not (0 < args.epsilon < 1 and 0 < args.delta < 1):
+        raise ConfigError("pac mode requires --epsilon and --delta in (0, 1)")
     possibilistic = args.mode != "classical"
     text = _read(args.target)
     if possibilistic and not _is_possibilistic_text(text):
@@ -313,7 +303,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         ScriptExhausted,
         TeacherError,
         EnumerationCapReached,
-        QueryBudgetExceeded,
         PrecisionTooLow,
         ProtocolError,
     ) as exc:

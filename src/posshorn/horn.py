@@ -21,9 +21,9 @@ comma-separated variable list and CONS is a variable or ``false``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 FALSUM = None  # consequent of an integrity constraint, printed as "false"
 
@@ -41,28 +41,18 @@ def check_variable(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HornClause:
     """A definite clause or integrity constraint: antecedent -> consequent.
 
-    The consequent is a variable, or FALSUM (None) for constraints.  The
-    ordering key is (antecedent size, sorted antecedent, consequent), which
-    fixes the deterministic scan order used throughout the package.
+    The consequent is a variable, or FALSUM (None) for constraints.
     """
 
-    sort_index: tuple = field(init=False, repr=False)
     antecedent: frozenset[str]
     consequent: Optional[str]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "antecedent", frozenset(self.antecedent))
-        key = (
-            len(self.antecedent),
-            tuple(sorted(self.antecedent)),
-            "" if self.consequent is FALSUM else self.consequent,
-            self.consequent is FALSUM,
-        )
-        object.__setattr__(self, "sort_index", key)
 
     @property
     def is_tautology(self) -> bool:
@@ -95,6 +85,17 @@ def parse_clause(text: str) -> HornClause:
         antecedent = frozenset(check_variable(p) for p in parts)
     consequent = FALSUM if right == "false" else check_variable(right)
     return HornClause(antecedent, consequent)
+
+
+def scan_key(clause: HornClause) -> tuple:
+    """The ordering key (antecedent size, sorted antecedent, consequent),
+    which fixes the deterministic scan order used throughout the package.
+
+    Falsum sorts as "", before every variable: a constraint comes first
+    among the clauses with its antecedent.
+    """
+    ant, cons = clause.antecedent, clause.consequent
+    return (len(ant), sorted(ant), cons or "", cons is FALSUM)
 
 
 # -- compiled form -------------------------------------------------------------
@@ -173,7 +174,7 @@ class HornKB:
 
     @cached_property
     def sorted_clauses(self) -> tuple[HornClause, ...]:
-        return tuple(sorted(self.clauses))
+        return tuple(sorted(self.clauses, key=scan_key))
 
     @cached_property
     def _compiled(self) -> tuple[dict[str, int], tuple[tuple[int, int], ...]]:
@@ -249,22 +250,32 @@ def tt_entails(kb: HornKB, clause: HornClause, cap: int = BRUTE_FORCE_CAP) -> bo
     return True
 
 
+def parse_lines(text: str, parse: Callable[[str], object]) -> list:
+    """Parse each clause line of a KB or script text.
+
+    ``#`` starts a comment and blank lines are skipped; every other line,
+    stripped, goes to ``parse``.  A parse error is raised as a
+    HornSyntaxError naming its 1-based line.
+    """
+    parsed = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                parsed.append(parse(line))
+            except ValueError as exc:
+                raise HornSyntaxError(f"line {lineno}: {exc}") from exc
+    return parsed
+
+
 def parse_horn_kb(text: str) -> HornKB:
     """Parse a classical KB file: one clause per line, ``#`` comments.
 
     Tautological clauses are normalized away, except the designated single
     variable form ``v -> v`` which the learners use as an anchor formula.
     """
-    clauses = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            c = parse_clause(line)
-        except HornSyntaxError as exc:
-            raise HornSyntaxError(f"line {lineno}: {exc}") from exc
-        if c.is_tautology and c.antecedent != frozenset([c.consequent]):
-            continue
-        clauses.append(c)
-    return HornKB.of(clauses)
+    return HornKB.of(
+        c
+        for c in parse_lines(text, parse_clause)
+        if not c.is_tautology or c.antecedent == {c.consequent}
+    )

@@ -108,13 +108,12 @@ def learn_with_mq_naive(
     p: int,
     mq: PossMQ,
     max_antecedent: int,
-    max_queries: Optional[int] = None,
 ) -> PossKB:
     """One bounded MQ-only base run per positive grid(p) point."""
     pairs = []
     for alpha in positive_grid(p):
         kb = learn_by_mq_enumeration(
-            signature, max_antecedent, lambda c, _a=alpha: mq(c, _a), max_queries
+            signature, max_antecedent, lambda c, _a=alpha: mq(c, _a)
         )
         pairs.append((alpha, kb))
     return assemble(pairs)
@@ -125,7 +124,6 @@ def learn_with_mq_levels(
     p: int,
     mq: PossMQ,
     max_antecedent: int,
-    max_queries: Optional[int] = None,
     level_log: Optional[list[Valuation]] = None,
 ) -> PossKB:
     """Level-discovery MQ-only transfer: one base run per occurring level.
@@ -142,7 +140,7 @@ def learn_with_mq_levels(
             break
         probe = Valuation(next_index, p)
         kb = learn_by_mq_enumeration(
-            signature, max_antecedent, lambda c, _a=probe: mq(c, _a), max_queries
+            signature, max_antecedent, lambda c, _a=probe: mq(c, _a)
         )
         if not kb.clauses:
             break
@@ -201,7 +199,6 @@ def orchestrate_mq_eq(
     mq: PossMQ,
     eq: PossEQ,
     stats: Optional[RunStats] = None,
-    learner_factory: Callable[..., HornEntailmentLearner] = HornEntailmentLearner,
 ) -> PossKB:
     """Drive one instance pool at working precision p.
 
@@ -230,7 +227,7 @@ def orchestrate_mq_eq(
                 raise ProtocolError(f"instance {label} left the protocol: {inst.status}")
 
     def spawn(label: Valuation) -> None:
-        pool[label] = learner_factory(sig)
+        pool[label] = HornEntailmentLearner(sig)
         order.append(label)
         if stats is not None:
             stats.spawn_order.append(str(label))

@@ -36,12 +36,11 @@ class UniformClauseDistribution:
     Antecedents include each signature variable independently with
     probability 1/2; the consequent is uniform over the remaining variables
     plus falsum; the valuation is uniform over the positive points of the
-    precision-q grid.  Labels are computed against the target.
+    precision-2 grid.  Labels are computed against the target.
     """
 
     target: PossKB
     seed: int
-    valuation_precision: int = 2
     draws: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
@@ -54,8 +53,7 @@ class UniformClauseDistribution:
         consequents = [v for v in self._variables if v not in antecedent]
         consequents.append(FALSUM)
         consequent = rng.choice(consequents)
-        q = self.valuation_precision
-        valuation = Valuation(rng.randint(1, 10**q), q)
+        valuation = Valuation(rng.randint(1, 100), 2)
         example = PossClause(HornClause(antecedent, consequent), valuation)
         self.draws += 1
         return example, poss_entails(self.target, example)

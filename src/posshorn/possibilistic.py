@@ -27,7 +27,7 @@ comments and blank lines ignored.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -44,24 +44,22 @@ from .horn import (
     entails,  # not called here; perfbench/spans.py patches both names in
     equivalent,  # this module, so they stay importable from it
     parse_clause,
+    parse_lines,
+    scan_key,
 )
 from .valuation import Valuation
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class PossClause:
     """A Horn clause asserted to hold with necessity at least ``valuation``."""
 
-    sort_index: tuple = field(init=False, repr=False)
     formula: HornClause
     valuation: Valuation
 
     def __post_init__(self) -> None:
         if self.valuation.is_zero:
             raise ValueError(f"formula valuation must be positive: {self.formula}")
-        object.__setattr__(
-            self, "sort_index", (self.formula.sort_index, self.valuation)
-        )
 
     def __str__(self) -> str:
         return f"{self.formula} @ {self.valuation}"
@@ -92,7 +90,10 @@ class PossKB:
 
     @cached_property
     def sorted_clauses(self) -> tuple[PossClause, ...]:
-        return tuple(sorted(self.clauses))
+        """The clauses in scan order of their formulas, then by valuation."""
+        return tuple(
+            sorted(self.clauses, key=lambda c: (scan_key(c.formula), c.valuation))
+        )
 
     @cached_property
     def levels(self) -> tuple[Valuation, ...]:
@@ -249,17 +250,8 @@ def parse_poss_clause(text: str) -> PossClause:
 
 def parse_poss_kb(text: str) -> PossKB:
     """Parse a possibilistic KB file (tautologies other than v -> v dropped)."""
-    clauses = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            c = parse_poss_clause(line)
-        except (HornSyntaxError, ValueError) as exc:
-            raise HornSyntaxError(f"line {lineno}: {exc}") from exc
-        f = c.formula
-        if f.is_tautology and f.antecedent != frozenset([f.consequent]):
-            continue
-        clauses.append(c)
-    return PossKB.of(clauses)
+    return PossKB.of(
+        c
+        for c in parse_lines(text, parse_poss_clause)
+        if not c.formula.is_tautology or c.formula.antecedent == {c.formula.consequent}
+    )

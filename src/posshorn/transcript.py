@@ -9,36 +9,25 @@ One record per oracle call:
 clauses sorted and joined by "; " (eq).  ``valuation`` is the decimal of a
 possibilistic membership query, null for classical queries and for eq.
 ``instance`` names the requester (a learner label or "orchestrator").
-``index`` is the 1-based position in the session.  Key order and separators
-are fixed so replayed sessions compare byte-for-byte.
+``index`` is the 1-based position in the session.  Keys, key order and
+separators are fixed so replayed sessions compare byte-for-byte: the keys
+are the fields of :class:`Event` in order, and the separators are json's
+defaults, ``", "`` and ``": "``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     event: str
     input: str
     valuation: Optional[str]
     answer: str
     instance: str
     index: int
-
-    def to_json(self) -> str:
-        record = {
-            "event": self.event,
-            "input": self.input,
-            "valuation": self.valuation,
-            "answer": self.answer,
-            "instance": self.instance,
-            "index": self.index,
-        }
-        return json.dumps(record, separators=(", ", ": "))
 
 
 class Transcript:
@@ -60,7 +49,7 @@ class Transcript:
         return ev
 
     def to_jsonl(self) -> str:
-        return "".join(ev.to_json() + "\n" for ev in self.events)
+        return "".join(json.dumps(ev._asdict()) + "\n" for ev in self.events)
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

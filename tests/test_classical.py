@@ -16,7 +16,6 @@ from posshorn import (
     HornEntailmentLearner,
     HornKB,
     ProtocolError,
-    QueryBudgetExceeded,
     clause_space,
     drive,
     entails,
@@ -267,10 +266,6 @@ class TestMqOnlyEnumeration:
         teacher = ClassicalTeacher(target)
         learned = learn_by_mq_enumeration(teacher.signature, 0, teacher.mq)
         assert not equivalent(learned, target)
-
-    def test_budget_enforced(self):
-        with pytest.raises(QueryBudgetExceeded):
-            learn_by_mq_enumeration(variables(8), 3, lambda c: False, max_queries=10)
 
     def test_clause_space_has_no_tautologies(self):
         for clause in clause_space(["a", "b", "c"], 3):

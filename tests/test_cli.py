@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import posshorn.cli as cli
 from posshorn import parse_poss_clause
 from posshorn.cli import main
@@ -30,6 +32,13 @@ def run_learn(tmp_path, *extra):
         ]
     )
     return code, out
+
+
+def assert_one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "error:" in err
+    return err
 
 
 class TestLearnCommand:
@@ -181,25 +190,50 @@ class NegativeLabels:
 class TestOracleFailuresExit3:
     """Limits and protocol breaks exit 3 with one ``error:`` line."""
 
-    @staticmethod
-    def assert_one_error_line(capsys):
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert len(err.splitlines()) == 1 and "error:" in err
-
     def test_precision_beyond_limit(self, tmp_path, capsys):
         target = tmp_path / "fine.pkb"
         target.write_text("a -> b @ 0.0000000000001\n")
         code, _ = run_learn(tmp_path, "--mode", "mq-eq", "--target", str(target))
         assert code == 3
-        self.assert_one_error_line(capsys)
+        assert_one_error_line(capsys)
 
     def test_protocol_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "UniformClauseDistribution", NegativeLabels)
         target = str(DATA / "mqeq.pkb")
         code, _ = run_learn(tmp_path, "--mode", "pac", "--target", target)
         assert code == 3
-        self.assert_one_error_line(capsys)
+        assert_one_error_line(capsys)
+
+
+class TestConfigErrorsExit2:
+    """Unusable scripts and flags exit 2 with one ``error:`` line."""
+
+    def test_script_line_with_zero_degree(self, tmp_path, capsys):
+        script = tmp_path / "zero.script"
+        script.write_text("# replay\n\np -> q1 @ 0\n")
+        code, _ = run_learn(
+            tmp_path,
+            "--mode",
+            "mq-eq",
+            "--target",
+            str(DATA / "mqeq.pkb"),
+            "--cex-strategy",
+            "scripted",
+            "--script",
+            str(script),
+        )
+        assert code == 2
+        assert "line 3:" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--epsilon", "0"), ("--epsilon", "1.5"), ("--delta", "0"), ("--delta", "1")],
+    )
+    def test_pac_bounds_out_of_range(self, tmp_path, capsys, flag, value):
+        target = str(DATA / "mqeq.pkb")
+        code, _ = run_learn(tmp_path, "--mode", "pac", "--target", target, flag, value)
+        assert code == 2
+        assert_one_error_line(capsys)
 
 
 class TestVerifyCommand:

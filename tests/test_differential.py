@@ -3,7 +3,8 @@
 Entailment chains over bitsets and cut tables (``horn``, ``possibilistic``);
 these properties pit it against the truth-table oracle ``tt_entails``, the
 distribution semantics ``pi_k``/``necessity``, and exact ``Fraction``
-arithmetic.  Every test is derandomized, so a run is reproducible.
+arithmetic, and pin the clause scan order to a key written out here.  Every
+test is derandomized, so a run is reproducible.
 """
 
 from fractions import Fraction
@@ -188,6 +189,44 @@ class TestSeparatingClauseScan:
             positive, c = found
             assert tt_entails(a, c) == positive
             assert tt_entails(b, c) != positive
+
+
+def scan_order(c: HornClause) -> tuple:
+    """The scan order written out: antecedent size, sorted antecedent, then
+    falsum before every variable, then the consequent's name."""
+    cons = c.consequent
+    return (len(c.antecedent), sorted(c.antecedent), cons is not FALSUM, cons or "")
+
+
+@st.composite
+def graded_formulas(draw):
+    """Distinct formulas, each at one to three positive degrees of precision
+    1-3; falsum consequents and empty antecedents are common."""
+    names = POOL[: draw(st.integers(1, 4))]
+    formulas = draw(st.lists(clauses(names), unique=True, max_size=8))
+    degrees = st.lists(positive, min_size=1, max_size=3, unique=True)
+    return [(phi, draw(degrees)) for phi in formulas]
+
+
+class TestScanOrder:
+    @SETTINGS
+    @given(graded_formulas())
+    @example(
+        [
+            (parse_clause("x0 -> x1"), [Valuation(3, 1), Valuation(25, 2), Valuation(125, 3)]),
+            (parse_clause("x0 -> false"), [Valuation(1, 2)]),
+            (parse_clause("true -> x1"), [Valuation(5, 1)]),
+            (parse_clause("true -> false"), [Valuation(5, 1), Valuation(5, 2)]),
+            (parse_clause("x0,x1 -> false"), [Valuation.one()]),
+        ]
+    )
+    def test_sorted_clauses_follow_the_scan_order(self, graded):
+        horn = HornKB.of(phi for phi, _ in graded)
+        assert list(horn.sorted_clauses) == sorted(horn.clauses, key=scan_order)
+        poss = PossKB.of(PossClause(phi, v) for phi, degrees in graded for v in degrees)
+        assert list(poss.sorted_clauses) == sorted(
+            poss.clauses, key=lambda c: (scan_order(c.formula), fraction(c.valuation))
+        )
 
 
 class TestValuationOrder:
