@@ -57,7 +57,6 @@ from .teacher import (
 )
 from .classical import (
     DONE,
-    RUNNING,
     WAITING_EQ,
     WAITING_MQ,
     EnumerationCapReached,

@@ -3,10 +3,10 @@
 Three learners live here:
 
 * :class:`HornEntailmentLearner` - the polynomial MQ+EQ learner, written as a
-  resumable state machine: it emits one oracle request at a time, waits, and
-  resumes when the answer is delivered.  This message-passing shape is what
-  lets the possibilistic orchestrator run many instances side by side and
-  hold them all at their equivalence queries.
+  resumable state machine: it emits one oracle request at a time and waits;
+  delivering the answer runs it to its next request.  This message-passing
+  shape is what lets the possibilistic orchestrator run many instances side
+  by side and hold them all at their equivalence queries.
 * :func:`learn_by_mq_enumeration` - a bounded MQ-only learner that simply
   confirms every candidate clause up to an antecedent-size bound.
 * :func:`learn_by_eq_enumeration` - an EQ-only learner that walks a dovetailed
@@ -29,9 +29,8 @@ import json
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
 
-from .horn import FALSUM, HornClause, HornKB, entails
+from .horn import FALSUM, HornClause, HornKB, entails, parse_clause
 
-RUNNING = "running"
 WAITING_MQ = "waiting-mq"
 WAITING_EQ = "waiting-eq"
 DONE = "done"
@@ -50,20 +49,22 @@ def _cons_key(c: Optional[str]) -> tuple[bool, str]:
 
 
 class HornEntailmentLearner:
-    """Resumable MQ+EQ learner for a hidden Horn KB over a known signature."""
+    """Resumable MQ+EQ learner for a hidden Horn KB over a known signature.
+
+    The learner always waits: at a membership query, at an equivalence query,
+    or done.  Construction and every answer run it to its next request.
+    """
 
     def __init__(self, signature: Iterable[str]):
         self.signature = tuple(sorted(set(signature)))
         self.antecedents: list[frozenset[str]] = []
         self.consequents: list[set[Optional[str]]] = []
-        self.steps = 0
         self.mqs = 0
         self.eqs = 0
-        self._status = RUNNING
         self._pending_mq: Optional[HornClause] = None
-        self._mq_answer: Optional[bool] = None
         self._task: Optional[dict] = None
-        self._result: Optional[HornKB] = None
+        self._build()
+        self._ask_eq()
 
     # -- protocol surface ----------------------------------------------------
 
@@ -80,35 +81,30 @@ class HornEntailmentLearner:
     @property
     def pending_hypothesis(self) -> HornKB:
         """The hypothesis this instance currently stands behind."""
-        clauses = frozenset(
-            HornClause(ant, c)
-            for ant, cs in zip(self.antecedents, self.consequents)
-            for c in cs
-        )
-        return HornKB.of(clauses, self.signature)
+        return self._hypothesis
 
     @property
     def result(self) -> HornKB:
         if self._status != DONE:
             raise ProtocolError("learner has not finished")
-        return self._result
+        return self._hypothesis
 
     def answer_mq(self, answer: bool) -> None:
         if self._status != WAITING_MQ:
             raise ProtocolError("no membership query to answer")
-        self._mq_answer = bool(answer)
-        self._status = RUNNING
+        self._scan(bool(answer))
 
     def answer_eq_yes(self) -> None:
         if self._status != WAITING_EQ:
             raise ProtocolError("no equivalence query to answer")
-        self._result = self.pending_hypothesis
         self._status = DONE
 
     def answer_eq_counterexample(self, cex: HornClause) -> None:
         if self._status != WAITING_EQ:
             raise ProtocolError("no equivalence query to answer")
-        if entails(self.pending_hypothesis, cex):
+        if not cex.variables <= self._hypothesis.signature:
+            raise ProtocolError(f"counterexample outside the signature: {cex}")
+        if entails(self._hypothesis, cex):
             raise ProtocolError(f"counterexample already entailed: {cex}")
         self._task = {
             "ant": sorted(cex.antecedent),
@@ -119,20 +115,20 @@ class HornEntailmentLearner:
             "confirmed": None,
             "sweep_cache": {},
         }
-        self._status = RUNNING
+        self._scan(None)
 
-    def step(self) -> str:
-        """Advance one micro-step; returns the new status."""
-        if self._status != RUNNING:
-            raise ProtocolError(f"cannot step a {self._status} learner")
-        self.steps += 1
-        if self._task is None:
-            self._ask_eq()
-        else:
-            self._step_scan()
-        return self._status
+    # -- the counterexample scan -----------------------------------------------
 
-    # -- micro-steps -----------------------------------------------------------
+    def _build(self) -> None:
+        """Rebuild the hypothesis KB after the slots changed."""
+        self._hypothesis = HornKB(
+            (
+                HornClause(ant, c)
+                for ant, cs in zip(self.antecedents, self.consequents)
+                for c in cs
+            ),
+            self.signature,
+        )
 
     def _ask_mq(self, clause: HornClause) -> None:
         self._pending_mq = clause
@@ -145,42 +141,23 @@ class HornEntailmentLearner:
         self._status = WAITING_EQ
         self.eqs += 1
 
-    def _take_answer(self) -> Optional[bool]:
-        answer, self._mq_answer = self._mq_answer, None
-        return answer
+    def _scan(self, answer: Optional[bool]) -> None:
+        """Run the counterexample scan to its next request.
 
-    def _step_scan(self) -> None:
-        """Find the first slot whose intersection with the counterexample
-        antecedent is a productive refinement.
-
-        For each slot with a properly smaller intersection I, every candidate
-        I -> c is confirmed with the oracle (cached per I for the lifetime of
-        this counterexample).  The slot is refined only when some confirmed
-        clause is not already entailed by the current hypothesis; refining on
-        a bare confirmation loops when the target holds empty- or
+        The scan looks for the first slot whose intersection with the
+        counterexample antecedent is a productive refinement.  For each slot
+        with a properly smaller intersection I, every candidate I -> c is
+        confirmed with the oracle (cached per I for the lifetime of this
+        counterexample); ``answer`` is the oracle's answer to the candidate in
+        flight, or None when no sweep is.  The slot is refined only when some
+        confirmed clause is not already entailed by the current hypothesis;
+        refining on a bare confirmation loops when the target holds empty- or
         small-antecedent clauses another slot already covers, because the
         shrunk slot then duplicates known material while its own clauses are
         thrown away.
         """
         task = self._task
         ant = frozenset(task["ant"])
-        if task["sweep"] is not None:
-            # consuming one answer of the in-flight confirmation sweep
-            i = task["i"]
-            intersection = self.antecedents[i] & ant
-            answer = self._take_answer()
-            if answer is True:
-                task["confirmed"].append(task["asked"])
-            if task["sweep"]:
-                task["asked"] = task["sweep"].pop(0)
-                self._ask_mq(HornClause(intersection, task["asked"]))
-                return
-            key = ",".join(sorted(intersection))
-            task["sweep_cache"][key] = list(task["confirmed"])
-            task["sweep"] = None
-            if self._refine_if_productive(i, intersection, task["confirmed"]):
-                return
-            task["i"] += 1
         while task["i"] < len(self.antecedents):
             i = task["i"]
             intersection = self.antecedents[i] & ant
@@ -188,30 +165,35 @@ class HornEntailmentLearner:
                 task["i"] += 1
                 continue
             key = ",".join(sorted(intersection))
-            if key in task["sweep_cache"]:
-                if self._refine_if_productive(i, intersection, task["sweep_cache"][key]):
+            if key not in task["sweep_cache"]:
+                if task["sweep"] is None:
+                    task["confirmed"] = []
+                    task["sweep"] = [v for v in self.signature if v not in intersection]
+                    task["sweep"].append(FALSUM)
+                elif answer:
+                    task["confirmed"].append(task["asked"])
+                if task["sweep"]:
+                    task["asked"] = task["sweep"].pop(0)
+                    self._ask_mq(HornClause(intersection, task["asked"]))
                     return
-                task["i"] += 1
-                continue
-            candidates = [v for v in self.signature if v not in intersection]
-            candidates.append(FALSUM)
-            task["confirmed"] = []
-            task["asked"] = candidates[0]
-            task["sweep"] = candidates[1:]
-            self._ask_mq(HornClause(intersection, task["asked"]))
-            return
+                task["sweep_cache"][key] = task["confirmed"]
+                task["sweep"] = None
+            if self._refine_if_productive(i, intersection, task["sweep_cache"][key]):
+                return
+            task["i"] += 1
         self._append(ant, task["cons"])
         self._ask_eq()
 
     def _refine_if_productive(self, slot, intersection, confirmed) -> bool:
         """Shrink the slot to the intersection if that teaches us anything."""
-        hypothesis = self.pending_hypothesis
         if not any(
-            not entails(hypothesis, HornClause(intersection, c)) for c in confirmed
+            not entails(self._hypothesis, HornClause(intersection, c))
+            for c in confirmed
         ):
             return False
         self.antecedents[slot] = intersection
         self.consequents[slot] = set(confirmed)
+        self._build()
         self._ask_eq()
         return True
 
@@ -219,47 +201,48 @@ class HornEntailmentLearner:
         for i, existing in enumerate(self.antecedents):
             if existing == ant:
                 self.consequents[i].add(cons)
-                return
-        self.antecedents.append(ant)
-        self.consequents.append({cons})
+                break
+        else:
+            self.antecedents.append(ant)
+            self.consequents.append({cons})
+        self._build()
 
     # -- snapshots ---------------------------------------------------------------
 
     def to_snapshot(self) -> str:
-        """Serialize the waiting/running state to a JSON document."""
+        """Serialize the waiting state to a JSON document."""
         state = {
             "signature": list(self.signature),
             "antecedents": [sorted(a) for a in self.antecedents],
             "consequents": [sorted(cs, key=_cons_key) for cs in self.consequents],
             "status": self._status,
             "pending_mq": str(self._pending_mq) if self._pending_mq else None,
-            "mq_answer": self._mq_answer,
             "task": self._task,
-            "counters": {"steps": self.steps, "mqs": self.mqs, "eqs": self.eqs},
+            "counters": {"mqs": self.mqs, "eqs": self.eqs},
         }
         return json.dumps(state, indent=2)
 
     @classmethod
     def from_snapshot(cls, text: str) -> "HornEntailmentLearner":
         state = json.loads(text)
-        # older snapshots may carry a "minimize_antecedents" field, and
-        # their tasks "stage"/"min_order"/"min_idx"; all are ignored
+        # older snapshots may carry "minimize_antecedents", "mq_answer" and
+        # a "steps" counter, and their tasks "stage"/"min_order"/"min_idx";
+        # all are ignored
+        status = state["status"]
+        if status not in (WAITING_MQ, WAITING_EQ, DONE):
+            raise ProtocolError(f"snapshot status {status!r} is not a wait")
+        if status == WAITING_MQ and not (state["pending_mq"] and state["task"]):
+            raise ProtocolError("waiting-mq snapshot lacks its query or task")
         learner = cls(state["signature"])
         learner.antecedents = [frozenset(a) for a in state["antecedents"]]
         learner.consequents = [set(cs) for cs in state["consequents"]]
-        learner._status = state["status"]
-        learner._mq_answer = state["mq_answer"]
+        learner._build()
+        learner._status = status
         learner._task = state["task"]
-        if state["pending_mq"]:
-            from .horn import parse_clause
-
+        if status == WAITING_MQ:
             learner._pending_mq = parse_clause(state["pending_mq"])
-        counters = state["counters"]
-        learner.steps = counters["steps"]
-        learner.mqs = counters["mqs"]
-        learner.eqs = counters["eqs"]
-        if learner._status == DONE:
-            learner._result = learner.pending_hypothesis
+        learner.mqs = state["counters"]["mqs"]
+        learner.eqs = state["counters"]["eqs"]
         return learner
 
 
@@ -269,19 +252,16 @@ def drive(
     eq: Callable[[HornKB], Optional[HornClause]],
 ) -> HornKB:
     """Run a learner instance to completion against oracle callables."""
-    while True:
-        while learner.status == RUNNING:
-            learner.step()
+    while learner.status != DONE:
         if learner.status == WAITING_MQ:
             learner.answer_mq(mq(learner.pending_mq))
-        elif learner.status == WAITING_EQ:
-            cex = eq(learner.pending_hypothesis)
-            if cex is None:
-                learner.answer_eq_yes()
-            else:
-                learner.answer_eq_counterexample(cex)
+            continue
+        cex = eq(learner.pending_hypothesis)
+        if cex is None:
+            learner.answer_eq_yes()
         else:
-            return learner.result
+            learner.answer_eq_counterexample(cex)
+    return learner.result
 
 
 # -- MQ-only bounded learner --------------------------------------------------

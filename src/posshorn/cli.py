@@ -188,7 +188,7 @@ def cmd_learn(args) -> int:
             lambda c: teacher.mq(c, instance="learner"),
             lambda kb: teacher.eq(kb, instance="learner"),
         )
-        stats.wall_steps = learner.steps
+        stats.wall_steps = learner.mqs + learner.eqs
         verified = equivalent(hypothesis, target)
 
     _write_outputs(args, hypothesis, teacher, stats)

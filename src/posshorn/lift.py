@@ -37,8 +37,6 @@ from itertools import combinations, count, product
 from typing import Callable, Iterator, Optional
 
 from .classical import (
-    RUNNING,
-    WAITING_EQ,
     WAITING_MQ,
     HornEntailmentLearner,
     ProtocolError,
@@ -218,13 +216,8 @@ def orchestrate_mq_eq(
 
     def run_until_eq(label: Valuation) -> None:
         inst = pool[label]
-        while inst.status != WAITING_EQ:
-            if inst.status == RUNNING:
-                inst.step()
-            elif inst.status == WAITING_MQ:
-                inst.answer_mq(mq(inst.pending_mq, label, instance=str(label)))
-            else:  # DONE is unreachable: the pool never answers yes
-                raise ProtocolError(f"instance {label} left the protocol: {inst.status}")
+        while inst.status == WAITING_MQ:
+            inst.answer_mq(mq(inst.pending_mq, label, instance=str(label)))
 
     def spawn(label: Valuation) -> None:
         pool[label] = HornEntailmentLearner(sig)
@@ -257,22 +250,24 @@ def orchestrate_mq_eq(
             if beta not in pool:
                 spawn(beta)
                 continue
-            if entails(pool[beta].pending_hypothesis, phi):
+            receivers = [
+                label
+                for label in order
+                if label <= beta and not entails(pool[label].pending_hypothesis, phi)
+            ]
+            if beta not in receivers:
                 raise PrecisionTooLow(
                     f"level {beta} already entails {phi}: degree needs precision > {p}"
                 )
-            receivers = []
-            for label in order:
-                if label <= beta and not entails(pool[label].pending_hypothesis, phi):
-                    receivers.append(str(label))
-                    pool[label].answer_eq_counterexample(phi)
-                    run_until_eq(label)
+            for label in receivers:
+                pool[label].answer_eq_counterexample(phi)
+                run_until_eq(label)
             if stats is not None:
-                stats.dispatches.append((str(phi), tuple(receivers)))
+                stats.dispatches.append((str(phi), tuple(map(str, receivers))))
     finally:
         if stats is not None:
             stats.instances_spawned += len(order)
-            stats.wall_steps += sum(inst.steps for inst in pool.values())
+            stats.wall_steps += sum(inst.mqs + inst.eqs for inst in pool.values())
 
 
 def learn_with_mq_eq(

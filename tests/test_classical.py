@@ -8,13 +8,13 @@ import pytest
 
 from posshorn import (
     DONE,
-    RUNNING,
     WAITING_EQ,
     WAITING_MQ,
     ClassicalTeacher,
     EnumerationCapReached,
     HornEntailmentLearner,
     HornKB,
+    HornSyntaxError,
     ProtocolError,
     clause_space,
     drive,
@@ -28,45 +28,53 @@ from posshorn import (
 from helpers import random_horn_kb, variables
 
 
-def run_to_eq(learner):
-    while learner.status == RUNNING:
-        learner.step()
-
-
 def drive_mqs(learner, teacher):
     """Advance the instance until its next EQ, answering MQs from the teacher."""
-    while True:
-        run_to_eq(learner)
-        if learner.status != WAITING_MQ:
-            return
+    while learner.status == WAITING_MQ:
         learner.answer_mq(teacher.mq(learner.pending_mq))
+
+
+def sweeping_learner() -> HornEntailmentLearner:
+    """A learner at the MQ that sweeps slot {a,c} for the body {a}."""
+    learner = HornEntailmentLearner(["a", "b", "c"])
+    learner.answer_eq_counterexample(parse_clause("a,c -> b"))
+    learner.answer_eq_counterexample(parse_clause("a -> b"))
+    return learner
 
 
 class TestStateMachine:
     def test_fresh_instance_asks_empty_eq(self):
         learner = HornEntailmentLearner(["a", "b"])
-        assert learner.status == RUNNING
-        run_to_eq(learner)
         assert learner.status == WAITING_EQ
         assert not learner.pending_hypothesis.clauses
         assert learner.eqs == 1
 
     def test_done_instance_never_resumes(self):
         learner = HornEntailmentLearner(["a"])
-        run_to_eq(learner)
         learner.answer_eq_yes()
         assert learner.status == DONE
         assert not learner.result.clauses
         with pytest.raises(ProtocolError):
-            learner.step()
+            learner.answer_eq_yes()
+        with pytest.raises(ProtocolError):
+            learner.answer_eq_counterexample(parse_clause("true -> a"))
+        with pytest.raises(ProtocolError):
+            learner.answer_mq(True)
 
     def test_rejects_answers_out_of_turn(self):
         learner = HornEntailmentLearner(["a", "b"])
         with pytest.raises(ProtocolError):
             learner.answer_mq(True)
-        run_to_eq(learner)
         with pytest.raises(ProtocolError):
-            learner.answer_mq(True)
+            learner.pending_mq
+        with pytest.raises(ProtocolError):
+            learner.result
+        learner = sweeping_learner()
+        assert learner.status == WAITING_MQ
+        with pytest.raises(ProtocolError):
+            learner.answer_eq_yes()
+        with pytest.raises(ProtocolError):
+            learner.answer_eq_counterexample(parse_clause("a -> c"))
 
     def test_rejects_non_counterexample(self):
         teacher = ClassicalTeacher(parse_horn_kb("a -> b"))
@@ -76,6 +84,13 @@ class TestStateMachine:
         drive_mqs(learner, teacher)
         with pytest.raises(ProtocolError):
             learner.answer_eq_counterexample(parse_clause("a -> b"))
+
+    def test_rejects_counterexample_outside_signature(self):
+        learner = HornEntailmentLearner(["a", "b"])
+        with pytest.raises(ProtocolError):
+            learner.answer_eq_counterexample(parse_clause("a,z -> b"))
+        assert learner.status == WAITING_EQ
+        assert not learner.antecedents
 
 
 class TestRefinement:
@@ -203,7 +218,6 @@ class TestEndToEnd:
 class TestSnapshots:
     def test_snapshot_schema_fields(self):
         learner = HornEntailmentLearner(["a", "b"])
-        run_to_eq(learner)
         state = json.loads(learner.to_snapshot())
         assert set(state) == {
             "signature",
@@ -211,7 +225,6 @@ class TestSnapshots:
             "consequents",
             "status",
             "pending_mq",
-            "mq_answer",
             "task",
             "counters",
         }
@@ -231,7 +244,6 @@ class TestSnapshots:
             interrupted_at = rng.randint(1, max(ref_teacher.mq_count, 2))
             queries = 0
             while learner.status != DONE and queries < interrupted_at:
-                run_to_eq(learner)
                 if learner.status == WAITING_MQ:
                     learner.answer_mq(teacher.mq(learner.pending_mq))
                     queries += 1
@@ -247,6 +259,56 @@ class TestSnapshots:
             assert resumed.to_snapshot() == learner.to_snapshot()
             drive(resumed, teacher.mq, teacher.eq)
             assert teacher.transcript.to_jsonl() == ref_teacher.transcript.to_jsonl()
+
+    def test_resume_at_every_wait(self):
+        rng = random.Random(56)
+        for _ in range(20):
+            target = random_horn_kb(rng, 6, 8)
+            ref_teacher = ClassicalTeacher(target)
+            ref = HornEntailmentLearner(ref_teacher.signature)
+            drive(ref, ref_teacher.mq, ref_teacher.eq)
+
+            teacher = ClassicalTeacher(target)
+            learner = HornEntailmentLearner(teacher.signature)
+            while learner.status != DONE:
+                learner = HornEntailmentLearner.from_snapshot(learner.to_snapshot())
+                if learner.status == WAITING_MQ:
+                    learner.answer_mq(teacher.mq(learner.pending_mq))
+                    continue
+                cex = teacher.eq(learner.pending_hypothesis)
+                if cex is None:
+                    learner.answer_eq_yes()
+                else:
+                    learner.answer_eq_counterexample(cex)
+            resumed = HornEntailmentLearner.from_snapshot(learner.to_snapshot())
+            assert equivalent(resumed.result, target)
+            assert (learner.mqs, learner.eqs) == (teacher.mq_count, teacher.eq_count)
+            assert teacher.transcript.to_jsonl() == ref_teacher.transcript.to_jsonl()
+
+    @pytest.mark.parametrize("status", ["running", "thinking", None])
+    def test_snapshot_status_must_be_a_wait(self, status):
+        state = json.loads(sweeping_learner().to_snapshot())
+        state["status"] = status
+        with pytest.raises(ProtocolError):
+            HornEntailmentLearner.from_snapshot(json.dumps(state))
+
+    def test_waiting_mq_snapshot_needs_its_query(self):
+        state = json.loads(sweeping_learner().to_snapshot())
+        state["pending_mq"] = None
+        with pytest.raises(ProtocolError):
+            HornEntailmentLearner.from_snapshot(json.dumps(state))
+
+    def test_snapshot_clauses_stay_in_the_signature(self):
+        state = json.loads(sweeping_learner().to_snapshot())
+        state["antecedents"][0].append("z")
+        with pytest.raises(HornSyntaxError):
+            HornEntailmentLearner.from_snapshot(json.dumps(state))
+
+    def test_legacy_snapshot_fields_are_ignored(self):
+        state = json.loads(sweeping_learner().to_snapshot())
+        legacy = dict(state, mq_answer=None, counters=dict(state["counters"], steps=7))
+        resumed = HornEntailmentLearner.from_snapshot(json.dumps(legacy))
+        assert json.loads(resumed.to_snapshot()) == state
 
 
 class TestMqOnlyEnumeration:

@@ -62,7 +62,7 @@ class TestLearnCommand:
             "eq_count": 5,
             "instances_spawned": 3,
             "escalations": 0,
-            "wall_steps": stats["wall_steps"],
+            "wall_steps": 8,
         }
 
     def test_repeated_runs_byte_identical(self, tmp_path):
