@@ -12,6 +12,18 @@ positive examples, which is what the orchestrator expects.
 
 Example distributions are seeded and label their own samples against the
 hidden target, so labels are exact and runs replay deterministically.
+
+:class:`UniformClauseDistribution` has one draw routine, ``draw()``, which
+returns a draw as ints over the target's compiled cut table: an antecedent
+mask, a consequent bit, a mantissa on the precision-2 grid and the label.
+``sample()`` is ``draw()`` plus building the :class:`PossClause`.  A sampled
+EQ on that distribution tests the hypothesis on the same ints whenever the
+hypothesis has the target's signature, and so its bit index; that holds for
+every hypothesis the orchestrator submits.  A clause is then built only for
+the counterexample the EQ returns.  Any other sampler or hypothesis is
+checked on ``sample()`` and :func:`poss_entails`.  :func:`empirical_error`
+always calls ``sample()``, so a sampler that overrides it (to record the test
+set, say) sees every test example.
 """
 
 from __future__ import annotations
@@ -23,9 +35,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .classical import ProtocolError
-from .horn import FALSUM, HornClause
+from .horn import _FALSUM_BIT, FALSUM, HornClause, _chain
 from .lift import RunStats, learn_with_mq_eq
-from .possibilistic import PossClause, PossKB, poss_entails
+from .possibilistic import PossClause, PossKB, _cut_rules, poss_entails
 from .valuation import Valuation
 
 
@@ -37,6 +49,12 @@ class UniformClauseDistribution:
     probability 1/2; the consequent is uniform over the remaining variables
     plus falsum; the valuation is uniform over the positive points of the
     precision-2 grid.  Labels are computed against the target.
+
+    A draw makes its RNG calls in a fixed order: ``random()`` per variable in
+    sorted order, ``choice`` over the free variables in that order followed
+    by falsum, then ``randint(1, 100)`` for the mantissa.  The target's cut
+    rules for each of the 100 degrees, and the degrees themselves, are looked
+    up once at construction; ``draws`` counts every draw.
     """
 
     target: PossKB
@@ -45,23 +63,72 @@ class UniformClauseDistribution:
 
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
-        self._variables = sorted(self.target.signature)
+        index = self.target._cut_table[0]
+        self._variables = [(v, index[v]) for v in sorted(self.target.signature)]
+        self._bits = [bit for _, bit in self._variables]
+        self._names = {bit: v for v, bit in self._variables}
+        self._names[_FALSUM_BIT] = FALSUM
+        self._degrees = tuple(Valuation(m, 2) for m in range(1, 101))
+        self._cuts = tuple(_cut_rules(self.target, a) for a in self._degrees)
+
+    def draw(self) -> tuple[int, int, int, bool]:
+        """One draw as (antecedent mask, consequent bit, mantissa, label);
+        its degree is mantissa / 100."""
+        rng = self._rng
+        ant, free = 0, []
+        for bit in self._bits:
+            if rng.random() < 0.5:
+                ant |= bit
+            else:
+                free.append(bit)
+        free.append(_FALSUM_BIT)
+        cons = rng.choice(free)
+        m = rng.randint(1, 100)
+        self.draws += 1
+        goal = _FALSUM_BIT | cons
+        return ant, cons, m, bool(_chain(self._cuts[m - 1], ant, goal) & goal)
+
+    def example(self, ant: int, cons: int, m: int) -> PossClause:
+        """The clause of a draw."""
+        antecedent = frozenset(v for v, bit in self._variables if ant & bit)
+        return PossClause(HornClause(antecedent, self._names[cons]), self._degrees[m - 1])
 
     def sample(self) -> tuple[PossClause, bool]:
-        rng = self._rng
-        antecedent = frozenset(v for v in self._variables if rng.random() < 0.5)
-        consequents = [v for v in self._variables if v not in antecedent]
-        consequents.append(FALSUM)
-        consequent = rng.choice(consequents)
-        valuation = Valuation(rng.randint(1, 100), 2)
-        example = PossClause(HornClause(antecedent, consequent), valuation)
-        self.draws += 1
-        return example, poss_entails(self.target, example)
+        ant, cons, m, label = self.draw()
+        return self.example(ant, cons, m), label
 
 
 def sample_size(epsilon: float, delta: float, i: int) -> int:
     """Samples for the i-th simulated equivalence query (1-based)."""
     return math.ceil((1.0 / epsilon) * (math.log(1.0 / delta) + i * math.log(2.0)))
+
+
+def _first_disagreement(hypothesis: PossKB, dist, n: int):
+    """(example, label) of the first of n samples the hypothesis labels
+    differently, or None."""
+    for _ in range(n):
+        example, label = dist.sample()
+        if poss_entails(hypothesis, example) != label:
+            return example, label
+    return None
+
+
+def _first_disagreement_on_ints(
+    hypothesis: PossKB, dist: UniformClauseDistribution, n: int
+):
+    """:func:`_first_disagreement` on ``dist.draw()``; the hypothesis must
+    share the target's bit index.  Its cut rules are looked up once per
+    degree drawn."""
+    cuts: dict[int, tuple] = {}
+    for _ in range(n):
+        ant, cons, m, label = dist.draw()
+        rules = cuts.get(m)
+        if rules is None:
+            rules = cuts[m] = _cut_rules(hypothesis, dist._degrees[m - 1])
+        goal = _FALSUM_BIT | cons
+        if bool(_chain(rules, ant, goal) & goal) != label:
+            return dist.example(ant, cons, m), label
+    return None
 
 
 def pac_learn(
@@ -83,20 +150,30 @@ def pac_learn(
     if exact_eq is not None:
         return learn_with_mq_eq(signature, mq, exact_eq, stats=stats)
 
+    # a subclass that overrides sample() is sampled through it
+    on_ints = (
+        isinstance(dist, UniformClauseDistribution)
+        and type(dist).sample is UniformClauseDistribution.sample
+    )
     eq_index = 0
 
     def sampling_eq(hypothesis: PossKB, *, instance: str = "") -> Optional[PossClause]:
         nonlocal eq_index
         eq_index += 1
-        for _ in range(sample_size(epsilon, delta, eq_index)):
-            example, label = dist.sample()
-            if poss_entails(hypothesis, example) != label:
-                # hypothesis clauses are target-entailed, so a disagreement
-                # can only be a positive example the hypothesis misses
-                if not label:
-                    raise ProtocolError(f"negative disagreement on {example}")
-                return example
-        return None
+        n = sample_size(epsilon, delta, eq_index)
+        # the bit index is a function of the signature alone
+        if on_ints and hypothesis.signature == dist.target.signature:
+            found = _first_disagreement_on_ints(hypothesis, dist, n)
+        else:
+            found = _first_disagreement(hypothesis, dist, n)
+        if found is None:
+            return None
+        example, label = found
+        # hypothesis clauses are target-entailed, so a disagreement can only
+        # be a positive example the hypothesis misses
+        if not label:
+            raise ProtocolError(f"negative disagreement on {example}")
+        return example
 
     return learn_with_mq_eq(signature, mq, sampling_eq, stats=stats)
 

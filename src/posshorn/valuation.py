@@ -18,7 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-_LITERAL = re.compile(r"^(?:0|1|1\.0|0\.\d+)$")
+# [0-9], not \d: \d also matches non-ASCII digits such as "\u0663"
+_LITERAL = re.compile(r"^(?:0|1|1\.0|0\.[0-9]+)$")
 
 
 class ValuationError(ValueError):

@@ -1,16 +1,25 @@
 """End-to-end command-line sessions and exit-code contracts."""
 
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import posshorn
 import posshorn.cli as cli
+import posshorn.possibilistic as possibilistic
 from posshorn import parse_poss_clause
 from posshorn.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "mqeq_transcript.jsonl"
+PAC_GOLDEN = {
+    "hyp": GOLDEN.parent / "pac_hypothesis.pkb",
+    "tr": GOLDEN.parent / "pac_transcript.jsonl",
+    "st": GOLDEN.parent / "pac_stats.json",
+}
 
 
 def run_learn(tmp_path, *extra):
@@ -64,6 +73,24 @@ class TestLearnCommand:
             "escalations": 0,
             "wall_steps": 8,
         }
+
+    def test_pac_session_matches_golden_outputs(self, tmp_path):
+        code, out = run_learn(
+            tmp_path,
+            "--mode",
+            "pac",
+            "--target",
+            str(DATA / "naive_collapse.pkb"),
+            "--seed",
+            "3",
+            "--epsilon",
+            "0.05",
+            "--delta",
+            "0.05",
+        )
+        assert code == 0
+        for key, golden in PAC_GOLDEN.items():
+            assert out[key].read_bytes() == golden.read_bytes(), golden.name
 
     def test_repeated_runs_byte_identical(self, tmp_path):
         transcripts = []
@@ -236,6 +263,14 @@ class TestConfigErrorsExit2:
         assert_one_error_line(capsys)
 
 
+    def test_unicode_digit_in_kb_exits_2(self, tmp_path, capsys):
+        ascii_kb, arabic_kb = tmp_path / "a.pkb", tmp_path / "b.pkb"
+        ascii_kb.write_text("p -> q @ 0.3\n", encoding="utf-8")
+        arabic_kb.write_text("p -> q @ 0.\u0663\n", encoding="utf-8")
+        assert main(["verify", str(ascii_kb), str(arabic_kb)]) == 2
+        assert "line 1:" in assert_one_error_line(capsys)
+
+
 class TestVerifyCommand:
     def test_rejects_single_cut_collapse_with_witness(self, capsys):
         code = main(
@@ -308,3 +343,60 @@ class TestOracleCheckCommand:
 
         monkeypatch.setattr(cli, "val_of", corrupted)
         assert main(["oracle-check", str(DATA / "hypothesis.pkb")]) == 1
+
+
+def package_exceptions() -> list[type]:
+    """Every exception class defined in a module of the package."""
+    found = []
+    for info in pkgutil.iter_modules(posshorn.__path__):
+        module = importlib.import_module(f"posshorn.{info.name}")
+        found += [
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        ]
+    return found
+
+
+# the exit code of each failure family in the cli module docstring
+DOCUMENTED_EXITS = {
+    "ConfigError": 2,
+    "HornSyntaxError": 2,
+    "ValuationError": 2,
+    "SignatureCapExceeded": 2,
+    "ScriptExhausted": 3,
+    "TeacherError": 3,
+    "EnumerationCapReached": 3,
+    "PrecisionTooLow": 3,
+    "ProtocolError": 3,
+}
+
+
+class TestErrorTaxonomy:
+    """No exception defined in the package escapes ``main`` unmapped."""
+
+    def test_documented_names_exist(self):
+        assert set(DOCUMENTED_EXITS) <= {e.__name__ for e in package_exceptions()}
+
+    @pytest.mark.parametrize("exc", package_exceptions(), ids=lambda e: e.__name__)
+    def test_exception_reaches_its_exit_code(self, exc, tmp_path, capsys, monkeypatch):
+        kb = tmp_path / "kb.pkb"
+        kb.write_text("p -> q @ 0.5\n")
+
+        def fail(*args):
+            raise exc("injected")
+
+        if exc.__name__ in DOCUMENTED_EXITS:
+            # raised from inside a command
+            monkeypatch.setattr(cli, "cmd_verify", fail)
+            expected = DOCUMENTED_EXITS[exc.__name__]
+        else:
+            # an undocumented class must be a ValueError that input
+            # parsing turns into a syntax error
+            assert issubclass(exc, ValueError), f"{exc.__name__} has no exit code"
+            monkeypatch.setattr(possibilistic, "parse_poss_clause", fail)
+            expected = 2
+        assert main(["verify", str(kb), str(kb)]) == expected
+        assert "injected" in assert_one_error_line(capsys)

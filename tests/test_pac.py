@@ -6,10 +6,14 @@ from fractions import Fraction
 import pytest
 
 from posshorn import (
+    FALSUM,
+    HornClause,
+    PossClause,
     PossibilisticTeacher,
     PossKB,
     ProtocolError,
     UniformClauseDistribution,
+    Valuation,
     empirical_error,
     pac_learn,
     parse_poss_clause,
@@ -21,6 +25,72 @@ from helpers import random_poss_kb
 
 
 WORKED_TARGET = "p -> q1 @ 0.3\np -> q2 @ 0.7"
+
+
+class ReferenceSampler:
+    """The object-building sampler the int draws replace: a frozenset, a
+    consequent list, a Valuation and a clause per draw, labelled with
+    poss_entails."""
+
+    def __init__(self, target, seed):
+        self.target = target
+        self.draws = 0
+        self._rng = random.Random(seed)
+        self._variables = sorted(target.signature)
+
+    def sample(self):
+        rng = self._rng
+        antecedent = frozenset(v for v in self._variables if rng.random() < 0.5)
+        consequents = [v for v in self._variables if v not in antecedent]
+        consequents.append(FALSUM)
+        consequent = rng.choice(consequents)
+        valuation = Valuation(rng.randint(1, 100), 2)
+        example = PossClause(HornClause(antecedent, consequent), valuation)
+        self.draws += 1
+        return example, poss_entails(self.target, example)
+
+
+class SampleOnly:
+    """A UniformClauseDistribution seen through ``sample()`` alone."""
+
+    def __init__(self, target, seed):
+        self._dist = UniformClauseDistribution(target, seed=seed)
+
+    def sample(self):
+        return self._dist.sample()
+
+    @property
+    def draws(self):
+        return self._dist.draws
+
+
+def seeded_targets(count, precisions=(1, 2, 3)):
+    rng = random.Random(31)
+    for k in range(count):
+        p = precisions[k % len(precisions)]
+        yield k, random_poss_kb(rng, 1 + k % 8, 3 + k % 10, precision=p)
+
+
+def run_pac(signature, target, dist, epsilon=0.1, delta=0.05):
+    """(hypothesis, transcript, draws) of a PAC run whose teacher holds
+    ``target``."""
+    teacher = PossibilisticTeacher(target)
+    hypothesis = pac_learn(signature, dist, epsilon, delta, teacher.mq)
+    return hypothesis, teacher.transcript.to_jsonl(), dist.draws
+
+
+@pytest.fixture
+def sample_calls(monkeypatch):
+    """Counts calls of UniformClauseDistribution.sample."""
+    calls = [0]
+    sample = UniformClauseDistribution.sample
+
+    def counted(self):
+        calls[0] += 1
+        return sample(self)
+
+    monkeypatch.setattr(UniformClauseDistribution, "sample", counted)
+    return calls
 
 
 class TestSampleSchedule:
@@ -47,6 +117,24 @@ class TestDistributions:
         for _ in range(200):
             example, label = dist.sample()
             assert label == poss_entails(target, example)
+
+    def test_stream_matches_reference_sampler(self):
+        # precision 1 targets lie on a coarser grid than the draws, 2 and 3
+        # on an equal or finer one
+        for k, target in seeded_targets(60):
+            dist = UniformClauseDistribution(target, seed=k)
+            reference = ReferenceSampler(target, seed=k)
+            for _ in range(300):
+                assert dist.sample() == reference.sample(), f"target {k}"
+            assert dist.draws == reference.draws == 300
+
+    def test_draw_is_sample_as_ints(self):
+        target = parse_poss_kb(WORKED_TARGET)
+        drawn = UniformClauseDistribution(target, seed=6)
+        sampled = UniformClauseDistribution(target, seed=6)
+        for _ in range(200):
+            ant, cons, m, label = drawn.draw()
+            assert sampled.sample() == (drawn.example(ant, cons, m), label)
 
     def test_uniform_is_seed_deterministic(self):
         target = parse_poss_kb(WORKED_TARGET)
@@ -83,6 +171,33 @@ class TestPacLearning:
             )
             assert error <= Fraction(2, 10)
 
+    def test_int_path_matches_sample_path(self, sample_calls):
+        for k, target in seeded_targets(36):
+            before = sample_calls[0]
+            h, transcript, draws = run_pac(
+                target.signature, target, UniformClauseDistribution(target, seed=k)
+            )
+            # the sampled EQs never built an example through sample()
+            assert sample_calls[0] == before, f"target {k}"
+            reference = run_pac(target.signature, target, SampleOnly(target, k))
+            assert (h, transcript, draws) == reference, f"target {k}"
+            errors = [
+                empirical_error(kb, UniformClauseDistribution(target, seed=k + 500), 400)
+                for kb in (h, reference[0])
+            ]
+            assert errors[0] == errors[1], f"target {k}"
+
+    def test_wider_learner_signature_falls_back(self, sample_calls):
+        rng = random.Random(12)
+        for k in range(10):
+            target = random_poss_kb(rng, 5, 7, precision=2)
+            wide = target.with_signature({"zz"})
+            dist = UniformClauseDistribution(target, seed=k)
+            before = sample_calls[0]
+            got = run_pac(wide.signature, wide, dist)
+            assert sample_calls[0] - before == dist.draws, f"target {k}"
+            assert got == run_pac(wide.signature, wide, ReferenceSampler(target, k))
+
     def test_exact_eq_substitution_reduces_to_plain_learning(self):
         target = parse_poss_kb(WORKED_TARGET)
         ref_teacher = PossibilisticTeacher(target)
@@ -115,6 +230,21 @@ class TestPacLearning:
         teacher = PossibilisticTeacher(target)
         with pytest.raises(ProtocolError, match="negative disagreement"):
             pac_learn(target.signature, NegativeLabels(), 0.1, 0.05, teacher.mq)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_negative_disagreement_has_the_same_text_on_ints(self, seed):
+        # an MQ oracle that confirms everything puts clauses the target does
+        # not entail into the hypothesis
+        target = parse_poss_kb(WORKED_TARGET)
+        messages = []
+        for dist in (
+            UniformClauseDistribution(target, seed=seed),
+            SampleOnly(target, seed),
+        ):
+            with pytest.raises(ProtocolError, match="negative disagreement on ") as caught:
+                pac_learn(target.signature, dist, 0.1, 0.05, lambda *a, **k: True)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
 
 class TestEmpiricalError:

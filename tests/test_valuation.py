@@ -34,7 +34,9 @@ class TestCanonicalForm:
         assert val("0").is_zero
         assert val("0").prec() == 1
 
-    @pytest.mark.parametrize("bad", ["", "2", "0.", ".5", "1.5", "-0.1", "0,3"])
+    @pytest.mark.parametrize(
+        "bad", ["", "2", "0.", ".5", "1.5", "-0.1", "0,3", "0.\u0663", "0.\uff13"]
+    )
     def test_rejects_bad_literals(self, bad):
         with pytest.raises(ValuationError):
             Valuation.parse(bad)
