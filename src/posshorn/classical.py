@@ -233,13 +233,19 @@ class HornEntailmentLearner:
             raise ProtocolError(f"snapshot status {status!r} is not a wait")
         if status == WAITING_MQ and not (state["pending_mq"] and state["task"]):
             raise ProtocolError("waiting-mq snapshot lacks its query or task")
+        if len(state["antecedents"]) != len(state["consequents"]):
+            raise ProtocolError("snapshot slots differ in antecedents and consequents")
         learner = cls(state["signature"])
         learner.antecedents = [frozenset(a) for a in state["antecedents"]]
         learner.consequents = [set(cs) for cs in state["consequents"]]
         learner._build()
         learner._status = status
-        learner._task = state["task"]
+        learner._task = task = state["task"]
         if status == WAITING_MQ:
+            if not 0 <= task["i"] < len(learner.antecedents):
+                raise ProtocolError(f"snapshot task slot {task['i']} is out of range")
+            if not {*task["ant"], task["cons"]} - {FALSUM} <= set(learner.signature):
+                raise ProtocolError("snapshot task leaves the signature")
             learner._pending_mq = parse_clause(state["pending_mq"])
         learner.mqs = state["counters"]["mqs"]
         learner.eqs = state["counters"]["eqs"]

@@ -215,9 +215,9 @@ def orchestrate_mq_eq(
     order: list[Valuation] = []
 
     def run_until_eq(label: Valuation) -> None:
-        inst = pool[label]
+        inst, name = pool[label], str(label)
         while inst.status == WAITING_MQ:
-            inst.answer_mq(mq(inst.pending_mq, label, instance=str(label)))
+            inst.answer_mq(mq(inst.pending_mq, label, instance=name))
 
     def spawn(label: Valuation) -> None:
         pool[label] = HornEntailmentLearner(sig)

@@ -13,12 +13,18 @@ possibilistic membership query, null for classical queries and for eq.
 separators are fixed so replayed sessions compare byte-for-byte: the keys
 are the fields of :class:`Event` in order, and the separators are json's
 defaults, ``", "`` and ``": "``.
+
+Each line is written from that fixed template, with the string fields
+quoted by json's own ASCII encoder, so it is byte-equal to
+``json.dumps(event._asdict())`` with the default separators and is pure
+ASCII: non-ASCII text is escaped as ``\\uXXXX``.  :meth:`Transcript.write`
+streams the file line by line and never builds the whole text.
 """
 
 from __future__ import annotations
 
-import json
-from typing import NamedTuple, Optional
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterator, NamedTuple, Optional
 
 
 class Event(NamedTuple):
@@ -48,9 +54,19 @@ class Transcript:
         self.events.append(ev)
         return ev
 
+    def lines(self) -> Iterator[str]:
+        """The JSON line of each event, newline included, in order."""
+        for event, input_text, valuation, answer, instance, index in self.events:
+            valuation_json = "null" if valuation is None else _quote(valuation)
+            yield (
+                f'{{"event": {_quote(event)}, "input": {_quote(input_text)}, '
+                f'"valuation": {valuation_json}, "answer": {_quote(answer)}, '
+                f'"instance": {_quote(instance)}, "index": {index}}}\n'
+            )
+
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(ev._asdict()) + "\n" for ev in self.events)
+        return "".join(self.lines())
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
+            fh.writelines(self.lines())

@@ -304,6 +304,26 @@ class TestSnapshots:
         with pytest.raises(HornSyntaxError):
             HornEntailmentLearner.from_snapshot(json.dumps(state))
 
+    def test_snapshot_slots_pair_antecedents_with_consequents(self):
+        state = json.loads(sweeping_learner().to_snapshot())
+        state["consequents"].append(["b"])
+        with pytest.raises(ProtocolError):
+            HornEntailmentLearner.from_snapshot(json.dumps(state))
+
+    @pytest.mark.parametrize("slot", [-1, 1, 7])
+    def test_snapshot_task_slot_in_range(self, slot):
+        state = json.loads(sweeping_learner().to_snapshot())
+        state["task"]["i"] = slot
+        with pytest.raises(ProtocolError):
+            HornEntailmentLearner.from_snapshot(json.dumps(state))
+
+    @pytest.mark.parametrize("field,value", [("cons", "zz"), ("ant", ["a", "zz"])])
+    def test_snapshot_task_stays_in_the_signature(self, field, value):
+        state = json.loads(sweeping_learner().to_snapshot())
+        state["task"][field] = value
+        with pytest.raises(ProtocolError):
+            HornEntailmentLearner.from_snapshot(json.dumps(state))
+
     def test_legacy_snapshot_fields_are_ignored(self):
         state = json.loads(sweeping_learner().to_snapshot())
         legacy = dict(state, mq_answer=None, counters=dict(state["counters"], steps=7))

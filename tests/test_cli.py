@@ -270,6 +270,19 @@ class TestConfigErrorsExit2:
         assert main(["verify", str(ascii_kb), str(arabic_kb)]) == 2
         assert "line 1:" in assert_one_error_line(capsys)
 
+    def test_target_not_utf8_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "k.pkb"
+        target.write_bytes(b"a -> b\xff @ 0.5\n")
+        code, _ = run_learn(tmp_path, "--mode", "mq-eq", "--target", str(target))
+        assert code == 2
+        assert f"cannot read {target}" in assert_one_error_line(capsys)
+
+    def test_verify_kb_not_utf8_exits_2(self, tmp_path, capsys):
+        kb = tmp_path / "k.pkb"
+        kb.write_bytes(b"a -> b\xff @ 0.5\n")
+        assert main(["verify", str(DATA / "mqeq.pkb"), str(kb)]) == 2
+        assert f"cannot read {kb}" in assert_one_error_line(capsys)
+
 
 class TestVerifyCommand:
     def test_rejects_single_cut_collapse_with_witness(self, capsys):

@@ -7,6 +7,7 @@ arithmetic, and pin the clause scan order to a key written out here.  Every
 test is derandomized, so a run is reproducible.
 """
 
+import json
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -33,6 +34,7 @@ from posshorn import (
 )
 from posshorn.horn import _compile
 from posshorn.possibilistic import _cut_rules
+from posshorn.transcript import Event, Transcript
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 POOL = [f"x{i}" for i in range(8)]
@@ -239,3 +241,44 @@ class TestValuationOrder:
         assert (a > b) == (x > y)
         assert (a >= b) == (x >= y)
         assert (a == b) == (x == y)
+
+
+# Quotes, backslashes, control, non-ASCII and astral characters, and lone
+# surrogates: everything json.dumps escapes in its own way.
+HARD = '"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600\ud800\udfff'
+texts = st.text(st.one_of(st.sampled_from(HARD), st.characters(exclude_categories=())))
+
+
+@st.composite
+def events(draw):
+    return Event(
+        draw(st.sampled_from(["mq", "eq"]) | texts),
+        draw(texts),
+        draw(st.none() | texts),
+        draw(texts),
+        draw(texts),
+        draw(st.integers(1, 10**9)),
+    )
+
+
+class TestTranscriptLines:
+    @SETTINGS
+    @given(st.lists(events(), max_size=4))
+    @example([Event("mq", "a -> b", None, "yes", "orchestrator", 1)])
+    @example([Event("eq", HARD, HARD, HARD, HARD, 10**9)])
+    def test_each_line_is_json_dumps_of_its_event(self, evs):
+        transcript = Transcript()
+        transcript.events = evs
+        lines = list(transcript.lines())
+        assert lines == [json.dumps(ev._asdict()) + "\n" for ev in evs]
+        assert transcript.to_jsonl() == "".join(lines)
+        assert transcript.to_jsonl().isascii()
+
+    def test_written_file_is_the_jsonl_text(self, tmp_path):
+        transcript = Transcript()
+        transcript.record("mq", "a -> b", "0.25", "yes", "0.3")
+        transcript.record("mq", HARD, None, "no", HARD)
+        transcript.record("eq", "a -> b @ 0.25; true -> c @ 1", None, HARD, "orchestrator")
+        path = tmp_path / "t.jsonl"
+        transcript.write(str(path))
+        assert path.read_bytes() == transcript.to_jsonl().encode()
