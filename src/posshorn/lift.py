@@ -18,7 +18,9 @@ in this module exploits that bridge:
   when every instance is parked at its equivalence query, the pooled
   hypotheses (each clause tagged with its instance label, plus a tautology
   anchor pinning the hypothesis precision to p) are submitted as one
-  possibilistic EQ.  A counterexample either spawns the instance for its
+  possibilistic EQ.  That KB is assembled from per-instance parts (see
+  :class:`~posshorn.possibilistic.Assembly`), each kept while its instance's
+  KB is unchanged.  A counterexample either spawns the instance for its
   level or is forwarded to every pooled instance at or below that level that
   does not entail it yet.  When the level search degenerates (degree 0, or the
   owning instance already entails the formula) the working precision p is too
@@ -45,7 +47,7 @@ from .classical import (
     learn_by_mq_enumeration,
 )
 from .horn import HornClause, HornKB, entails
-from .possibilistic import PossClause, PossKB, projection
+from .possibilistic import Assembly, Part, PossClause, PossKB, projection
 from .valuation import Valuation, positive_grid
 
 # Plain oracle callables take (formula, degree) / (hypothesis).  The session
@@ -208,11 +210,21 @@ def orchestrate_mq_eq(
     """
     sig = frozenset(signature)
     anchor_var = min(sig) if sig else "x1"
-    anchor = PossClause(
-        HornClause(frozenset([anchor_var]), anchor_var), Valuation.unit(p)
+    assembly = Assembly(sig | {anchor_var}, p)
+    anchor = assembly.part(
+        Valuation.unit(p), [HornClause(frozenset([anchor_var]), anchor_var)]
     )
     pool: dict[Valuation, HornEntailmentLearner] = {}
     order: list[Valuation] = []
+    # label -> (the instance KB a part was built from, that part)
+    parts: dict[Valuation, tuple[HornKB, Part]] = {}
+
+    def part(label: Valuation) -> Part:
+        kb = pool[label].pending_hypothesis
+        held = parts.get(label)
+        if held is None or held[0] is not kb:
+            held = parts[label] = kb, assembly.part(label, kb.sorted_clauses)
+        return held[1]
 
     def run_until_eq(label: Valuation) -> None:
         inst, name = pool[label], str(label)
@@ -232,12 +244,7 @@ def orchestrate_mq_eq(
     try:
         spawn(Valuation.unit(p))
         while True:
-            pooled = [
-                PossClause(phi, label)
-                for label in order
-                for phi in pool[label].pending_hypothesis.sorted_clauses
-            ]
-            hypothesis = PossKB.of(pooled + [anchor], sig | {anchor_var})
+            hypothesis = assembly.kb([part(label) for label in order] + [anchor])
             answer = eq(hypothesis, instance="orchestrator")
             if answer is None:
                 return hypothesis

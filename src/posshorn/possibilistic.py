@@ -14,6 +14,11 @@ binary search over the levels, and equivalence is mutual entailment of the
 clauses.  :func:`cut` and :func:`projection` still build the cut KBs, for
 callers that want them as objects.
 
+A KB built by :meth:`Assembly.kb` (the orchestrator's pooled hypotheses)
+does not compile on first use: it gets its sorted clauses, levels and cut
+table from per-level parts whose rules were compiled when the part was
+built, through the same table builder.
+
 The module also materializes the least-specific possibility distribution a KB
 induces over the full assignment space, which gives a second, independent
 route to the same entailment answers: necessity(pi_K, phi) must equal
@@ -29,7 +34,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .horn import (
     BRUTE_FORCE_CAP,
@@ -61,8 +68,12 @@ class PossClause:
         if self.valuation.is_zero:
             raise ValueError(f"formula valuation must be positive: {self.formula}")
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         return f"{self.formula} @ {self.valuation}"
+
+    def __str__(self) -> str:
+        return self._text
 
 
 @dataclass(frozen=True)
@@ -114,19 +125,101 @@ class PossKB:
         """
         index = _bit_index(self.signature)
         p = self.prec()
-        keys = [level.scaled(p) for level in self.levels]
         rules = [
             (c.valuation.scaled(p), _compile(index, c.formula))
             for c in self.sorted_clauses
         ]
-        cuts = tuple(tuple(r for k, r in rules if k >= key) for key in keys)
-        return index, p, keys, cuts
+        return _table(index, p, [level.scaled(p) for level in self.levels], rules)
 
     def with_signature(self, extra: Iterable[str]) -> "PossKB":
         return PossKB(self.clauses, self.signature | frozenset(extra))
 
     def __str__(self) -> str:
         return "\n".join(str(c) for c in self.sorted_clauses)
+
+
+def _table(index: dict[str, int], p: int, keys: list[int], rules: list) -> tuple:
+    """The cut table of a KB from its level keys, increasing, and its
+    (level key, compiled rule) pairs in ``sorted_clauses`` order."""
+    cuts = tuple(tuple([r for k, r in rules if k >= key]) for key in keys)
+    return index, p, keys, cuts
+
+
+class Part(NamedTuple):
+    """The clauses of one level, prepared once for :meth:`Assembly.kb`."""
+
+    level: Valuation
+    key: int  # the level's mantissa on the assembly's grid
+    members: frozenset[PossClause]
+    # (sort key, clause, (level key, rule)) per formula, in the order given
+    entries: tuple[tuple[tuple, PossClause, tuple[int, tuple[int, int]]], ...]
+
+
+class Assembly:
+    """PossKBs over one signature and precision-p grid, built from parts.
+
+    A part holds the clauses of one level with their hashes, sort keys and
+    rules compiled over the signature's bit index.  A caller that keeps a
+    part while its formulas are unchanged pays for each clause once, however
+    many KBs it goes into: :meth:`kb` unions the member sets, merges the
+    sorted runs and fills the cut table from the cached rules.  A new part
+    reuses the entries of the clauses that earlier parts of its level held.
+    """
+
+    def __init__(self, signature: Iterable[str], p: int) -> None:
+        self.signature = frozenset(signature)
+        self.index = _bit_index(self.signature)
+        self.p = p
+        self._entries: dict[int, dict[HornClause, tuple]] = {}
+
+    def part(self, level: Valuation, formulas: Sequence[HornClause]) -> Part:
+        """The distinct formulas tagged with ``level``.  Given in scan order,
+        as ``HornKB.sorted_clauses`` holds them, they are one sorted run."""
+        key = level.scaled(self.p)
+        known = self._entries.setdefault(key, {})
+        entries = []
+        for phi in formulas:
+            entry = known.get(phi)
+            if entry is None:
+                try:
+                    rule = _compile(self.index, phi)
+                except KeyError as exc:
+                    raise HornSyntaxError(
+                        f"clause variable not in signature: {exc}"
+                    ) from None
+                entry = known[phi] = (
+                    (scan_key(phi), key), PossClause(phi, level), (key, rule)
+                )
+            entries.append(entry)
+        return Part(level, key, frozenset(c for _, c, _ in entries), tuple(entries))
+
+    def kb(self, parts: Sequence[Part]) -> PossKB:
+        """The KB of the clauses of the parts, which share no clause, over
+        the assembly's signature.
+
+        Equal to ``PossKB.of`` of those clauses, with its sorted clauses,
+        levels and cut table filled in.  The table is on the assembly's grid
+        p, which is the KB's precision once one nonempty part has a level of
+        precision p.
+        """
+        clauses = frozenset().union(*(part.members for part in parts))
+        # sorted() finds the presorted run of each part and merges the runs
+        entries = sorted(
+            chain.from_iterable(part.entries for part in parts), key=itemgetter(0)
+        )
+        if len(entries) != len(clauses):
+            raise ValueError("the parts of one KB must hold distinct clauses")
+        levels = {part.key: part.level for part in parts if part.members}
+        keys = sorted(levels)
+        kb = object.__new__(PossKB)  # the parts have validated every clause
+        kb.__dict__.update(
+            clauses=clauses,
+            signature=self.signature,
+            sorted_clauses=tuple(c for _, c, _ in entries),
+            levels=tuple(levels[k] for k in keys),
+            _cut_table=_table(self.index, self.p, keys, [r for _, _, r in entries]),
+        )
+        return kb
 
 
 def projection(kb: PossKB) -> HornKB:

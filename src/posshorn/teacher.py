@@ -139,7 +139,7 @@ class PossibilisticTeacher:
         self, hypothesis: PossKB, show: Callable[[PossClause], str], instance: str
     ) -> Optional[PossClause]:
         self.eq_count += 1
-        input_text = "; ".join(show(c) for c in hypothesis.sorted_clauses)
+        input_text = "; ".join(map(show, hypothesis.sorted_clauses))
         found = find_counterexample(self.target, hypothesis)
         if found is None:
             self.transcript.record("eq", input_text, None, "yes", instance)

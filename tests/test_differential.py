@@ -3,12 +3,16 @@
 Entailment chains over bitsets and cut tables (``horn``, ``possibilistic``);
 these properties pit it against the truth-table oracle ``tt_entails``, the
 distribution semantics ``pi_k``/``necessity``, and exact ``Fraction``
-arithmetic, and pin the clause scan order to a key written out here.  Every
+arithmetic, and pin the clause scan order to a key written out here.  KBs
+assembled from parts are pinned to ``PossKB.of`` of the same clauses.  Every
 test is derandomized, so a run is reproducible.
 """
 
 import json
+import random
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,12 +21,15 @@ from posshorn import (
     FALSUM,
     HornClause,
     HornKB,
+    HornSyntaxError,
     PossClause,
     PossKB,
+    PossibilisticTeacher,
     Valuation,
     entails,
     find_classical_counterexample,
     find_counterexample,
+    learn_with_mq_eq,
     necessity,
     pi_k,
     poss_entails,
@@ -33,8 +40,10 @@ from posshorn import (
     val_of,
 )
 from posshorn.horn import _compile
-from posshorn.possibilistic import _cut_rules
+from posshorn.possibilistic import Assembly, _cut_rules
 from posshorn.transcript import Event, Transcript
+
+from helpers import random_poss_kb
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 POOL = [f"x{i}" for i in range(8)]
@@ -282,3 +291,106 @@ class TestTranscriptLines:
         path = tmp_path / "t.jsonl"
         transcript.write(str(path))
         assert path.read_bytes() == transcript.to_jsonl().encode()
+
+
+@st.composite
+def pools(draw):
+    """(p, signature, [(label, HornKB)]) as the orchestrator holds them: up
+    to four distinct labels on grid p = 1-4, whose KBs share formulas (so
+    one formula often sits at two labels) and are often empty.  Falsum and
+    tautologies occur, but not the anchor formula; the signature may be
+    empty."""
+    p = draw(st.integers(1, 4))
+    names = POOL[: draw(st.integers(0, 5))]
+    if names:
+        anchor = HornClause(frozenset([names[0]]), names[0])
+        formulas = clauses(names).filter(lambda c: c != anchor)
+        formulas = draw(st.lists(formulas, unique=True, max_size=6))
+    else:
+        formulas = [HornClause(frozenset(), FALSUM)]
+    keys = st.one_of(st.just(1), st.integers(1, 10**p))
+    labels = draw(st.lists(keys, unique=True, max_size=4))
+    pool = [
+        (Valuation(k, p), HornKB.of([c for c in formulas if draw(st.booleans())], names))
+        for k in labels
+    ]
+    return p, names, pool
+
+
+def assert_same_kb(kb: PossKB, expected: PossKB) -> None:
+    assert kb.clauses == expected.clauses
+    assert kb.signature == expected.signature
+    assert kb.sorted_clauses == expected.sorted_clauses
+    assert kb.levels == expected.levels
+    assert kb.prec() == expected.prec()
+    assert kb._cut_table == expected._cut_table
+    assert str(kb) == str(expected)
+
+
+class TestPooledAssembly:
+    @SETTINGS
+    @given(pools())
+    @example(
+        (2, [], [(Valuation(1, 2), HornKB.of([parse_clause("true -> false")]))])
+    )
+    @example(
+        (
+            1,
+            ["x0", "x1"],
+            [
+                (Valuation(1, 1), HornKB.of([parse_clause("x1 -> x1")], ["x0", "x1"])),
+                (Valuation(5, 1), HornKB.of([parse_clause("x0 -> false")], ["x0", "x1"])),
+                (Valuation(7, 1), HornKB.of([parse_clause("x0 -> false")], ["x0", "x1"])),
+                (Valuation(9, 1), HornKB.of((), ["x0", "x1"])),
+            ],
+        )
+    )
+    def test_matches_poss_kb_of_the_same_clauses(self, pooled):
+        p, names, pool = pooled
+        anchor_var = min(names) if names else "x1"
+        anchor = HornClause(frozenset([anchor_var]), anchor_var)
+        signature = set(names) | {anchor_var}
+        assembly = Assembly(signature, p)
+
+        def parts():
+            return [assembly.part(label, kb.sorted_clauses) for label, kb in pool] + [
+                assembly.part(Valuation.unit(p), [anchor])
+            ]
+
+        expected = PossKB.of(
+            [PossClause(phi, label) for label, kb in pool for phi in kb.clauses]
+            + [PossClause(anchor, Valuation.unit(p))],
+            signature,
+        )
+        first = parts()
+        assert_same_kb(assembly.kb(first), expected)
+        # parts built again reuse the entries of the first ones
+        assert_same_kb(assembly.kb(parts()), expected)
+        assert_same_kb(assembly.kb(first[::-1]), expected)
+
+    def test_rejects_a_variable_outside_the_signature(self):
+        with pytest.raises(HornSyntaxError):
+            Assembly({"a"}, 1).part(Valuation(5, 1), [parse_clause("a -> b")])
+
+    def test_rejects_parts_sharing_a_clause(self):
+        assembly = Assembly({"a"}, 1)
+        anchor = [parse_clause("a -> a")]
+        with pytest.raises(ValueError):
+            assembly.kb([assembly.part(Valuation(1, 1), anchor)] * 2)
+
+    @pytest.mark.parametrize("strategy", ["clause-exact", "adversarial-low", "random"])
+    def test_every_submitted_hypothesis_equals_its_rebuild(self, strategy):
+        rng = random.Random(f"assembly:{strategy}")
+        for trial in range(12):
+            target = random_poss_kb(rng, 6, 10, precision=rng.randint(1, 3))
+            teacher = PossibilisticTeacher(target, cex_strategy=strategy, rng_seed=trial)
+            submitted = []
+
+            def eq(h, *, instance=""):
+                submitted.append(h)
+                return teacher.eq(h, instance=instance)
+
+            learn_with_mq_eq(target.signature, teacher.mq, eq)
+            assert submitted
+            for h in submitted:
+                assert_same_kb(h, PossKB.of(h.clauses, h.signature))

@@ -17,6 +17,7 @@ from posshorn import (
     cut,
     enumerate_poss_kbs,
     equivalent,
+    find_counterexample,
     find_valuation,
     grid,
     learn_classical_via_possibilistic,
@@ -339,6 +340,25 @@ class TestFullLearning:
             h = learn_with_mq_eq(target.signature, teacher.mq, teacher.eq, stats=stats)
             assert poss_equivalent(h, target), f"trial {trial} ({strategy})"
             assert stats.escalations <= target.prec() - 1
+
+    @pytest.mark.parametrize("cex_precision", [3, 4, 5, 6])
+    def test_adversarial_low_at_fine_counterexample_precision(self, cex_precision):
+        # counterexample degrees finer than any grid the learner works on;
+        # escalation runs the pool at grids up to p = 3
+        rng = random.Random(f"adversarial-low:{cex_precision}")
+        reached = 0
+        for trial in range(20):
+            target = random_poss_kb(rng, 8, 12, precision=trial % 3 + 1)
+            teacher = PossibilisticTeacher(
+                target, cex_strategy="adversarial-low", rng_seed=trial,
+                cex_precision=cex_precision,
+            )
+            stats = RunStats()
+            h = learn_with_mq_eq(target.signature, teacher.mq, teacher.eq, stats=stats)
+            assert find_counterexample(target, h) is None, f"trial {trial}"
+            assert stats.escalations <= target.prec() - 1
+            reached = max(reached, stats.escalations)
+        assert reached == 2
 
     def test_pool_bounded_by_levels_plus_anchor(self):
         rng = random.Random(31415)
