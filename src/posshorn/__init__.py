@@ -19,7 +19,7 @@ The package splits into:
 * :mod:`posshorn.cli` - the ``posshorn`` command (learn/verify/oracle-check).
 """
 
-from .valuation import Valuation, ValuationError, eq_p, grid, positive_grid
+from .valuation import Valuation, ValuationError, grid
 from .horn import (
     FALSUM,
     HornClause,
@@ -33,7 +33,6 @@ from .horn import (
     tt_entails,
 )
 from .possibilistic import (
-    Distribution,
     PossClause,
     PossKB,
     cut,

@@ -48,7 +48,7 @@ from .classical import (
 )
 from .horn import HornClause, HornKB, entails
 from .possibilistic import Assembly, Part, PossClause, PossKB, projection
-from .valuation import Valuation, positive_grid
+from .valuation import Valuation, grid
 
 # Plain oracle callables take (formula, degree) / (hypothesis).  The session
 # oracles of the orchestrator additionally accept a keyword-only ``instance``
@@ -111,7 +111,7 @@ def learn_with_mq_naive(
 ) -> PossKB:
     """One bounded MQ-only base run per positive grid(p) point."""
     pairs = []
-    for alpha in positive_grid(p):
+    for alpha in grid(p)[1:]:
         kb = learn_by_mq_enumeration(
             signature, max_antecedent, lambda c, _a=alpha: mq(c, _a)
         )
@@ -208,14 +208,16 @@ def orchestrate_mq_eq(
     Returns the accepted hypothesis, or raises :exc:`PrecisionTooLow` when a
     counterexample proves the target has precision above p.
     """
+    if stats is None:
+        stats = RunStats()
     sig = frozenset(signature)
     anchor_var = min(sig) if sig else "x1"
     assembly = Assembly(sig | {anchor_var}, p)
     anchor = assembly.part(
         Valuation.unit(p), [HornClause(frozenset([anchor_var]), anchor_var)]
     )
+    # label -> its instance, in spawn order
     pool: dict[Valuation, HornEntailmentLearner] = {}
-    order: list[Valuation] = []
     # label -> (the instance KB a part was built from, that part)
     parts: dict[Valuation, tuple[HornKB, Part]] = {}
 
@@ -233,9 +235,7 @@ def orchestrate_mq_eq(
 
     def spawn(label: Valuation) -> None:
         pool[label] = HornEntailmentLearner(sig)
-        order.append(label)
-        if stats is not None:
-            stats.spawn_order.append(str(label))
+        stats.spawn_order.append(str(label))
         run_until_eq(label)
 
     def orchestrator_mq(phi: HornClause, degree: Valuation) -> bool:
@@ -244,7 +244,7 @@ def orchestrate_mq_eq(
     try:
         spawn(Valuation.unit(p))
         while True:
-            hypothesis = assembly.kb([part(label) for label in order] + [anchor])
+            hypothesis = assembly.kb([part(label) for label in pool] + [anchor])
             answer = eq(hypothesis, instance="orchestrator")
             if answer is None:
                 return hypothesis
@@ -259,7 +259,7 @@ def orchestrate_mq_eq(
                 continue
             receivers = [
                 label
-                for label in order
+                for label in pool
                 if label <= beta and not entails(pool[label].pending_hypothesis, phi)
             ]
             if beta not in receivers:
@@ -269,12 +269,10 @@ def orchestrate_mq_eq(
             for label in receivers:
                 pool[label].answer_eq_counterexample(phi)
                 run_until_eq(label)
-            if stats is not None:
-                stats.dispatches.append((str(phi), tuple(map(str, receivers))))
+            stats.dispatches.append((str(phi), tuple(map(str, receivers))))
     finally:
-        if stats is not None:
-            stats.instances_spawned += len(order)
-            stats.wall_steps += sum(inst.mqs + inst.eqs for inst in pool.values())
+        stats.instances_spawned += len(pool)
+        stats.wall_steps += sum(inst.mqs + inst.eqs for inst in pool.values())
 
 
 def learn_with_mq_eq(
@@ -290,14 +288,15 @@ def learn_with_mq_eq(
     has proven the working precision too small; the target precision bounds
     the number of escalations.
     """
+    if stats is None:
+        stats = RunStats()
     p = 1
     while True:
         try:
             return orchestrate_mq_eq(signature, p, mq, eq, stats=stats)
         except PrecisionTooLow:
             p += 1
-            if stats is not None:
-                stats.escalations += 1
+            stats.escalations += 1
             if p > max_precision:
                 raise
 

@@ -16,14 +16,17 @@ hidden target, so labels are exact and runs replay deterministically.
 :class:`UniformClauseDistribution` has one draw routine, ``draw()``, which
 returns a draw as ints over the target's compiled cut table: an antecedent
 mask, a consequent bit, a mantissa on the precision-2 grid and the label.
-``sample()`` is ``draw()`` plus building the :class:`PossClause`.  A sampled
-EQ on that distribution tests the hypothesis on the same ints whenever the
-hypothesis has the target's signature, and so its bit index; that holds for
-every hypothesis the orchestrator submits.  A clause is then built only for
-the counterexample the EQ returns.  Any other sampler or hypothesis is
-checked on ``sample()`` and :func:`poss_entails`.  :func:`empirical_error`
-always calls ``sample()``, so a sampler that overrides it (to record the test
-set, say) sees every test example.
+``sample()`` is ``draw()`` plus building the :class:`PossClause`.
+
+A sampled EQ and :func:`empirical_error` share one scan for the samples the
+hypothesis gets wrong, :func:`_disagreements`.  It tests the hypothesis on
+the ints of ``draw()`` when the sampler is a :class:`UniformClauseDistribution`
+whose class does not override ``sample()`` and the hypothesis has the
+target's signature, and so its bit index; that holds for every hypothesis
+the orchestrator submits.  A clause is then built only for a disagreement.
+Any other sampler or hypothesis is checked on ``sample()`` and
+:func:`poss_entails`, so a sampler that overrides ``sample()`` (to record the
+test set, say) still sees every example.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .classical import ProtocolError
 from .horn import _FALSUM_BIT, FALSUM, HornClause, _chain
@@ -103,32 +106,30 @@ def sample_size(epsilon: float, delta: float, i: int) -> int:
     return math.ceil((1.0 / epsilon) * (math.log(1.0 / delta) + i * math.log(2.0)))
 
 
-def _first_disagreement(hypothesis: PossKB, dist, n: int):
-    """(example, label) of the first of n samples the hypothesis labels
-    differently, or None."""
-    for _ in range(n):
-        example, label = dist.sample()
-        if poss_entails(hypothesis, example) != label:
-            return example, label
-    return None
-
-
-def _first_disagreement_on_ints(
-    hypothesis: PossKB, dist: UniformClauseDistribution, n: int
-):
-    """:func:`_first_disagreement` on ``dist.draw()``; the hypothesis must
-    share the target's bit index.  Its cut rules are looked up once per
-    degree drawn."""
-    cuts: dict[int, tuple] = {}
-    for _ in range(n):
-        ant, cons, m, label = dist.draw()
-        rules = cuts.get(m)
-        if rules is None:
-            rules = cuts[m] = _cut_rules(hypothesis, dist._degrees[m - 1])
-        goal = _FALSUM_BIT | cons
-        if bool(_chain(rules, ant, goal) & goal) != label:
-            return dist.example(ant, cons, m), label
-    return None
+def _disagreements(hypothesis: PossKB, dist, n: int) -> Iterator[tuple[PossClause, bool]]:
+    """(example, label) of each of n fresh samples that the hypothesis labels
+    differently; drawing stops when the caller stops reading.  On ints, the
+    hypothesis's cut rules are looked up once per degree drawn."""
+    if (
+        isinstance(dist, UniformClauseDistribution)
+        and type(dist).sample is UniformClauseDistribution.sample
+        # the bit index is a function of the signature alone
+        and hypothesis.signature == dist.target.signature
+    ):
+        cuts: dict[int, tuple] = {}
+        for _ in range(n):
+            ant, cons, m, label = dist.draw()
+            rules = cuts.get(m)
+            if rules is None:
+                rules = cuts[m] = _cut_rules(hypothesis, dist._degrees[m - 1])
+            goal = _FALSUM_BIT | cons
+            if bool(_chain(rules, ant, goal) & goal) != label:
+                yield dist.example(ant, cons, m), label
+    else:
+        for _ in range(n):
+            example, label = dist.sample()
+            if poss_entails(hypothesis, example) != label:
+                yield example, label
 
 
 def pac_learn(
@@ -150,22 +151,13 @@ def pac_learn(
     if exact_eq is not None:
         return learn_with_mq_eq(signature, mq, exact_eq, stats=stats)
 
-    # a subclass that overrides sample() is sampled through it
-    on_ints = (
-        isinstance(dist, UniformClauseDistribution)
-        and type(dist).sample is UniformClauseDistribution.sample
-    )
     eq_index = 0
 
     def sampling_eq(hypothesis: PossKB, *, instance: str = "") -> Optional[PossClause]:
         nonlocal eq_index
         eq_index += 1
         n = sample_size(epsilon, delta, eq_index)
-        # the bit index is a function of the signature alone
-        if on_ints and hypothesis.signature == dist.target.signature:
-            found = _first_disagreement_on_ints(hypothesis, dist, n)
-        else:
-            found = _first_disagreement(hypothesis, dist, n)
+        found = next(_disagreements(hypothesis, dist, n), None)
         if found is None:
             return None
         example, label = found
@@ -180,12 +172,7 @@ def pac_learn(
 
 def empirical_error(hypothesis: PossKB, dist, n: int) -> Fraction:
     """Fraction of n fresh samples where hypothesis entailment differs from
-    the label."""
+    the label, counted by the scan of a sampled EQ."""
     if n < 1:
         raise ValueError("need at least one sample")
-    disagreements = 0
-    for _ in range(n):
-        example, label = dist.sample()
-        if poss_entails(hypothesis, example) != label:
-            disagreements += 1
-    return Fraction(disagreements, n)
+    return Fraction(sum(1 for _ in _disagreements(hypothesis, dist, n)), n)

@@ -10,9 +10,9 @@ its signature, the levels as integer keys on the grid of the KB precision,
 and for each level the rules of its cut in the bitset form of
 :mod:`posshorn.horn`.  A query (phi, a) bisects the keys for the least level
 >= a and chains over that level's rules; no cut KB is built.  ``val`` is a
-binary search over the levels, and equivalence is mutual entailment of the
-clauses.  :func:`cut` and :func:`projection` still build the cut KBs, for
-callers that want them as objects.
+binary search over the levels, and equivalence is one scan for a separating
+clause, :func:`find_counterexample`.  :func:`cut` and :func:`projection`
+still build the cut KBs, for callers that want them as objects.
 
 A KB built by :meth:`Assembly.kb` (the orchestrator's pooled hypotheses)
 does not compile on first use: it gets its sorted clauses, levels and cut
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .horn import (
     BRUTE_FORCE_CAP,
@@ -277,15 +277,30 @@ def inc_of(kb: PossKB) -> Valuation:
     return val_of(kb, HornClause(frozenset(), None))
 
 
+def find_counterexample(
+    target: PossKB, hypothesis: PossKB
+) -> Optional[tuple[bool, PossClause]]:
+    """A clause separating target and hypothesis, or None iff equivalent.
+
+    Prefers positive counterexamples (entailed by the target, missed by the
+    hypothesis); falls back to negative ones.  The boolean flags positivity.
+    """
+    for c in target.sorted_clauses:
+        if not poss_entails(hypothesis, c):
+            return True, c
+    for c in hypothesis.sorted_clauses:
+        if not poss_entails(target, c):
+            return False, c
+    return None
+
+
 def poss_equivalent(a: PossKB, b: PossKB) -> bool:
-    """Each KB entails every clause of the other.
+    """No clause separates the KBs: each entails every clause of the other.
 
     Equivalent to classical equivalence of the two cuts at every level, with
     one chain per clause instead of one per clause and level.
     """
-    return all(poss_entails(b, c) for c in a.clauses) and all(
-        poss_entails(a, c) for c in b.clauses
-    )
+    return find_counterexample(a, b) is None
 
 
 # -- brute-force semantic oracle -------------------------------------------

@@ -11,8 +11,9 @@ and projects each counterexample back to its formula.  Its transcript shows
 no degrees: membership queries record a null valuation.  ``adversarial-low``
 gives it the ``clause-exact`` formula, as the projection drops the degree.
 
-An equivalence query is one scan: :func:`find_counterexample` returns None
-exactly when hypothesis and target are equivalent, which answers yes.
+An equivalence query is one scan: :func:`find_counterexample` (in
+:mod:`posshorn.possibilistic`) returns None exactly when hypothesis and
+target are equivalent, which answers yes.
 Otherwise the strategy picks the counterexample from that scan's result:
 
 * ``clause-exact``   - first target clause not entailed by the hypothesis
@@ -35,7 +36,7 @@ import random
 from typing import Callable, Optional, Sequence
 
 from .horn import HornClause, HornKB
-from .possibilistic import PossClause, PossKB, poss_entails, val_of
+from .possibilistic import PossClause, PossKB, find_counterexample, poss_entails, val_of
 from .transcript import Transcript
 from .valuation import Valuation
 
@@ -53,23 +54,6 @@ class TeacherError(RuntimeError):
 
 class ScriptExhausted(TeacherError):
     """The scripted counterexample list ran out while hypotheses still differ."""
-
-
-def find_counterexample(
-    target: PossKB, hypothesis: PossKB
-) -> Optional[tuple[bool, PossClause]]:
-    """A clause separating target and hypothesis, or None iff equivalent.
-
-    Prefers positive counterexamples (entailed by the target, missed by the
-    hypothesis); falls back to negative ones.  The boolean flags positivity.
-    """
-    for c in target.sorted_clauses:
-        if not poss_entails(hypothesis, c):
-            return True, c
-    for c in hypothesis.sorted_clauses:
-        if not poss_entails(target, c):
-            return False, c
-    return None
 
 
 def _at_one(kb: HornKB) -> PossKB:
@@ -163,8 +147,10 @@ class PossibilisticTeacher:
         if self.cex_strategy == "clause-exact" or not positive:
             return cex
         if self.cex_strategy == "random":
+            # the scan found every target clause before cex entailed
+            clauses = self.target.sorted_clauses
             pool = [
-                c for c in self.target.sorted_clauses if not poss_entails(hypothesis, c)
+                c for c in clauses[clauses.index(cex):] if not poss_entails(hypothesis, c)
             ]
             return self.rng.choice(pool)
         # adversarial-low: same formula, valuation redrawn below val(phi, t)

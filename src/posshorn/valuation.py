@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 # [0-9], not \d: \d also matches non-ASCII digits such as "\u0663"
 _LITERAL = re.compile(r"^(?:0|1|1\.0|0\.[0-9]+)$")
@@ -99,50 +98,28 @@ class Valuation:
 
     # -- operations --------------------------------------------------------
 
-    def truncate(self, p: int) -> "Valuation":
-        """Drop digits beyond position p (floor toward zero)."""
-        if p < 1:
-            raise ValuationError("precision must be a positive integer")
-        if p >= self.precision:
-            return self
-        return Valuation(self.mantissa // 10 ** (self.precision - p), p)
-
     def complement(self) -> "Valuation":
         """The exact value 1 - self (same grid)."""
         return Valuation(10**self.precision - self.mantissa, self.precision)
 
     # -- order: compare mantissas on a common grid ------------------------
 
-    def _pair(self, other: "Valuation") -> tuple[int, int]:
-        """Both mantissas scaled to the finer of the two precisions."""
-        shift = self.precision - other.precision
-        if shift >= 0:
-            return self.mantissa, other.mantissa * 10**shift
-        return self.mantissa * 10**-shift, other.mantissa
+    def _cmp(self, other: "Valuation") -> int:
+        """Negative, zero or positive as self is below, equal to or above
+        other: each mantissa scaled by the other's precision, onto one grid."""
+        return self.mantissa * 10**other.precision - other.mantissa * 10**self.precision
 
     def __lt__(self, other: "Valuation") -> bool:
-        if self.precision == other.precision:
-            return self.mantissa < other.mantissa
-        a, b = self._pair(other)
-        return a < b
+        return self._cmp(other) < 0
 
     def __le__(self, other: "Valuation") -> bool:
-        if self.precision == other.precision:
-            return self.mantissa <= other.mantissa
-        a, b = self._pair(other)
-        return a <= b
+        return self._cmp(other) <= 0
 
     def __gt__(self, other: "Valuation") -> bool:
-        if self.precision == other.precision:
-            return self.mantissa > other.mantissa
-        a, b = self._pair(other)
-        return a > b
+        return self._cmp(other) > 0
 
     def __ge__(self, other: "Valuation") -> bool:
-        if self.precision == other.precision:
-            return self.mantissa >= other.mantissa
-        a, b = self._pair(other)
-        return a >= b
+        return self._cmp(other) >= 0
 
     def __str__(self) -> str:
         if self.is_one:
@@ -156,18 +133,9 @@ class Valuation:
         return f"Valuation({str(self)!r})"
 
 
-def eq_p(a: Valuation, b: Valuation, p: int) -> bool:
-    """Equality up to precision p: compare truncations to p digits."""
-    return a.truncate(p) == b.truncate(p)
-
-
 def grid(p: int) -> list[Valuation]:
     """All precision-<=p points of [0, 1] in increasing order: i * 10^-p."""
     if p < 1:
         raise ValuationError("precision must be a positive integer")
     return [Valuation(i, p) if i else Valuation.zero() for i in range(10**p + 1)]
 
-
-def positive_grid(p: int) -> Iterator[Valuation]:
-    """The points of grid(p) lying in (0, 1], in increasing order."""
-    return iter(grid(p)[1:])

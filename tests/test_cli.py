@@ -1,11 +1,15 @@
 """End-to-end command-line sessions and exit-code contracts."""
 
 import importlib
+import io
 import json
 import pkgutil
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import posshorn
 import posshorn.cli as cli
@@ -413,3 +417,81 @@ class TestErrorTaxonomy:
             expected = 2
         assert main(["verify", str(kb), str(kb)]) == expected
         assert "injected" in assert_one_error_line(capsys)
+
+
+# Lines of KB and script text: clauses with and without a degree, comments,
+# and odd ones: a stray "@", "->" twice and inside a name, exponents, "0.",
+# a non-ASCII digit, a byte-order mark, degrees outside (0, 1].
+CLAUSES = [
+    "a -> b @ 0.5",
+    "b, c -> a @ 0.25",
+    "true -> c @ 1",
+    "a, b -> false @ 0.3",
+    "c -> c @ 0.1",
+    "a -> b",
+    "b, c -> false",
+    "# a comment",
+    "a -> c @ 0.7  # a trailing comment",
+    "",
+]
+ODD = [
+    "@",
+    "a -> b @",
+    "a -> b -> c @ 0.2",
+    "a->b -> c @ 0.4",
+    "a -> b @ 1e-3",
+    "a -> b @ 5E-1",
+    "a -> b @ 0.",
+    "a -> b @ 0.\u0663",
+    "\ufeffa -> b @ 0.5",
+    "a -> b @ 0",
+    "a -> b @ 1.5",
+]
+names = st.sampled_from(["a", "b", "c", "d"])
+decimals = st.text("0123456789", min_size=1, max_size=40).map(lambda d: "0." + d)
+generated = st.builds(
+    lambda ant, cons, degree: f"{', '.join(ant) or 'true'} -> {cons} @ {degree}",
+    st.lists(names, max_size=3, unique=True),
+    st.one_of(names, st.just("false")),
+    decimals,
+)
+kb_texts = st.builds(
+    lambda bom, lines, end: bom + end.join(lines),
+    st.sampled_from(["", "", "", "\ufeff"]),
+    st.lists(
+        st.one_of(generated, st.sampled_from(CLAUSES), st.sampled_from(CLAUSES + ODD)),
+        max_size=5,
+    ),
+    st.sampled_from(["\n", "\r\n"]),
+)
+
+
+class TestFuzzedInputs:
+    """Any KB or script text ends in a documented exit code, with at most
+    one error line and no traceback."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(kb_texts, kb_texts)
+    @example("a -> b @ 0." + "1" * 40, "a -> b @ 0.5")
+    def test_every_command_exits_cleanly(self, tmp_path_factory, target, script):
+        work = tmp_path_factory.mktemp("fuzz")
+        kb, other = work / "target.kb", work / "script.kb"
+        kb.write_text(target, encoding="utf-8")
+        other.write_text(script, encoding="utf-8")
+        outs = [
+            f"--out-{name}={work / name}" for name in ("hypothesis", "transcript", "stats")
+        ]
+        commands = [
+            ["learn", "--mode", "mq-eq", "--target", str(kb), *outs],
+            ["learn", "--mode", "classical", "--target", str(kb), *outs],
+            ["learn", "--mode", "mq-eq", "--target", str(kb), *outs,
+             "--cex-strategy", "scripted", "--script", str(other)],
+            ["verify", str(kb), str(other)],
+            ["oracle-check", str(kb)],
+        ]
+        for argv in commands:
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+            assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1, argv

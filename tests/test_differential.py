@@ -26,6 +26,7 @@ from posshorn import (
     PossKB,
     PossibilisticTeacher,
     Valuation,
+    cut,
     entails,
     find_classical_counterexample,
     find_counterexample,
@@ -142,6 +143,9 @@ class TestPossibilisticEntailment:
         index = kb._cut_table[0]
         expected = [_compile(index, c.formula) for c in kb.clauses if c.valuation >= a]
         assert sorted(_cut_rules(kb, a)) == sorted(expected)
+        # the a-cut as a KB, the paper's definition, compiles to the same rules
+        rules = [_compile(index, c.formula) for c in cut(kb, a).clauses]
+        assert sorted(rules) == sorted(_cut_rules(kb, a))
 
 
 @st.composite
@@ -242,7 +246,10 @@ class TestScanOrder:
 
 class TestValuationOrder:
     @SETTINGS
-    @given(valuations(max_precision=4), valuations(max_precision=4))
+    # mixed precisions up to one past the learner's limit of 12 digits
+    @given(valuations(max_precision=13), valuations(max_precision=13))
+    @example(Valuation(10**13 - 1, 13), Valuation.one())
+    @example(Valuation(1, 13), Valuation(1, 12))
     def test_order_matches_fractions(self, a, b):
         x, y = fraction(a), fraction(b)
         assert (a < b) == (x < y)

@@ -268,6 +268,33 @@ class TestEmpiricalError:
         ]
         assert runs[0] == runs[1]
 
+    def test_plain_distribution_counts_on_ints(self, sample_calls):
+        # the same test set through draw(), sample() alone and the
+        # object-building reference
+        for k, target in seeded_targets(36):
+            half = PossKB.of(target.sorted_clauses[::2], target.signature)
+            for h in (half, PossKB.of((), target.signature)):
+                plain = UniformClauseDistribution(target, seed=k)
+                before = sample_calls[0]
+                error = empirical_error(h, plain, 300)
+                assert sample_calls[0] == before, f"target {k}"
+                for other in (SampleOnly(target, k), ReferenceSampler(target, k)):
+                    assert empirical_error(h, other, 300) == error, f"target {k}"
+                    assert other.draws == plain.draws == 300
+
+    def test_overridden_sample_sees_every_example(self):
+        class Counting(UniformClauseDistribution):
+            calls = 0
+
+            def sample(self):
+                self.calls += 1
+                return super().sample()
+
+        for k, target in seeded_targets(12):
+            dist = Counting(target, seed=k)
+            empirical_error(PossKB.of((), target.signature), dist, 250)
+            assert dist.calls == dist.draws == 250, f"target {k}"
+
     def test_rejects_empty_sample(self):
         target = parse_poss_kb(WORKED_TARGET)
         with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
-"""Exact decimal valuations: canonical form, truncation equality, grids."""
+"""Exact decimal valuations: canonical form, grids, arithmetic."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from posshorn import Valuation, ValuationError, eq_p, grid
+from posshorn import Valuation, ValuationError, grid
 
 
 def val(text: str) -> Valuation:
@@ -14,7 +14,6 @@ def val(text: str) -> Valuation:
 valuations = st.builds(
     Valuation, st.integers(min_value=0, max_value=10000), st.just(4)
 )
-precisions = st.integers(min_value=1, max_value=5)
 
 
 class TestCanonicalForm:
@@ -56,40 +55,6 @@ class TestCanonicalForm:
         assert v.precision == 1 or v.mantissa % 10 != 0
 
 
-class TestTruncationEquality:
-    def test_equal_up_to_two_digits(self):
-        assert eq_p(val("0.124"), val("0.12345"), 2)
-
-    def test_not_equal_at_three_digits(self):
-        assert not eq_p(val("0.124"), val("0.12345"), 3)
-
-    @given(valuations, precisions)
-    def test_reflexive(self, v, p):
-        assert eq_p(v, v, p)
-
-    @given(valuations, valuations, precisions)
-    def test_symmetric(self, a, b, p):
-        assert eq_p(a, b, p) == eq_p(b, a, p)
-
-    @given(valuations, valuations, valuations, precisions)
-    def test_transitive(self, a, b, c, p):
-        if eq_p(a, b, p) and eq_p(b, c, p):
-            assert eq_p(a, c, p)
-
-    @given(valuations, precisions)
-    def test_truncation_is_eq_p_to_original(self, v, p):
-        assert eq_p(v, v.truncate(p), p)
-
-    @given(valuations)
-    def test_truncate_at_own_precision_is_identity(self, v):
-        assert v.truncate(v.prec()) == v
-
-    def test_truncation_floors(self):
-        assert val("0.19").truncate(1) == val("0.1")
-        assert val("0.99").truncate(1) == val("0.9")
-        assert val("1.0").truncate(3) == val("1.0")
-
-
 class TestGrid:
     def test_grid_1(self):
         points = grid(1)
@@ -112,10 +77,6 @@ class TestGrid:
         points = grid(2)
         assert sorted(points) == points
         assert len(set(points)) == len(points)
-
-    def test_closed_under_truncation(self):
-        points = set(grid(2))
-        assert {v.truncate(2) for v in points} == points
 
     def test_rejects_zero_precision(self):
         with pytest.raises(ValuationError):
