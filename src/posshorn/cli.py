@@ -3,18 +3,28 @@
 Exit codes separate failure families so CI can tell regressions from
 misconfiguration:
 
-* 0 - success; for ``learn``, the final hypothesis was re-verified equivalent
-      to the target by the independent checker.
+* 0 - success; for ``learn``, the final hypothesis was re-checked equivalent
+      to the target.  For a possibilistic target the check is
+      ``poss_equivalent``, the same :func:`find_counterexample` scan as the
+      teacher's EQ with the KBs swapped, so it is not independent of the
+      oracle; a classical target is checked by ``horn.equivalent``.  The
+      independent cross-check is ``oracle-check``.
 * 1 - the run finished but verification failed (a learner bug signal, or a
       PAC run that stopped at an approximation), or ``verify``/``oracle-check``
       found a discrepancy.
-* 2 - unusable input: parse errors, bad flags, missing mode requirements.
+* 2 - unusable input: parse errors, bad flags, missing mode requirements,
+      or an output file that cannot be written.
 * 3 - the oracle side gave out: scripted counterexamples exhausted or
       invalid, enumeration cap reached, a target finer than the 12-digit
       precision limit, or a violated learning protocol (such as an mq-only
       level search that makes no progress).
 
 Every failure prints one ``error:`` line on stderr; no traceback escapes.
+
+``learn`` opens its transcript before the first query and writes each
+event's line as the event happens, so after exit 3 the file holds the
+queries answered up to the failure.  The hypothesis and stats files are
+written only when the session completes.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional, TextIO
 
 from .classical import (
     EnumerationCapReached,
@@ -65,6 +76,7 @@ from .teacher import (
     find_classical_counterexample,
     find_counterexample,
 )
+from .transcript import Transcript
 from .valuation import ValuationError
 
 MODES = ("mq-eq", "mq-only", "eq-only", "pac", "classical")
@@ -96,11 +108,22 @@ def _load_script(path: str, possibilistic: bool):
     return parse_lines(_read(path), parse_poss_clause if possibilistic else parse_clause)
 
 
+@contextmanager
+def _writing(path: str) -> Iterator[TextIO]:
+    """The output file at ``path``, open for text; an OSError opening,
+    writing or closing it is a :class:`ConfigError`."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_outputs(args, hypothesis, teacher, stats: RunStats) -> None:
-    with open(args.out_hypothesis, "w", encoding="utf-8") as fh:
+    """The hypothesis and stats files; the transcript is already written."""
+    with _writing(args.out_hypothesis) as fh:
         text = str(hypothesis)
         fh.write(text + "\n" if text else text)
-    teacher.transcript.write(args.out_transcript)
     record = {
         "mq_count": teacher.mq_count,
         "eq_count": teacher.eq_count,
@@ -108,7 +131,7 @@ def _write_outputs(args, hypothesis, teacher, stats: RunStats) -> None:
         "escalations": stats.escalations,
         "wall_steps": stats.wall_steps,
     }
-    with open(args.out_stats, "w", encoding="utf-8") as fh:
+    with _writing(args.out_stats) as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
 
@@ -127,68 +150,28 @@ def cmd_learn(args) -> int:
         raise ConfigError(f"mode {args.mode} needs a possibilistic target (with @)")
     if not possibilistic and _is_possibilistic_text(text) and text.strip():
         raise ConfigError("classical mode needs a classical target (no @)")
+    target = parse_poss_kb(text) if possibilistic else parse_horn_kb(text)
+    script = (
+        _load_script(args.script, possibilistic)
+        if args.cex_strategy == "scripted"
+        else None
+    )
 
+    # the transcript is streamed: each event's line is written as it happens
     stats = RunStats()
-    if possibilistic:
-        target = parse_poss_kb(text)
-        script = (
-            _load_script(args.script, True)
-            if args.cex_strategy == "scripted"
-            else None
-        )
-        teacher = PossibilisticTeacher(
+    teacher_class = PossibilisticTeacher if possibilistic else ClassicalTeacher
+    with _writing(args.out_transcript) as out:
+        teacher = teacher_class(
             target,
             cex_strategy=args.cex_strategy,
             rng_seed=args.seed,
             script=script,
+            transcript=Transcript(out),
         )
-        if args.mode == "mq-eq":
-            hypothesis = learn_with_mq_eq(
-                teacher.signature, teacher.mq, teacher.eq, stats=stats
-            )
-        elif args.mode == "mq-only":
-            hypothesis = learn_with_mq_levels(
-                teacher.signature,
-                args.precision,
-                lambda f, v: teacher.mq(f, v, instance="mq-only"),
-                max_antecedent=args.max_antecedent,
-            )
-        elif args.mode == "eq-only":
-            hypothesis = learn_with_eq_enumeration(
-                lambda kb: teacher.eq(kb, instance="enumeration"),
-                teacher.signature,
-                cap=args.cap,
-            )
-        elif args.mode == "pac":
-            dist = UniformClauseDistribution(target, seed=args.seed)
-            hypothesis = pac_learn(
-                teacher.signature,
-                dist,
-                args.epsilon,
-                args.delta,
-                teacher.mq,
-                stats=stats,
-            )
-        else:  # pragma: no cover - argparse restricts choices
-            raise ConfigError(f"unknown mode {args.mode}")
+        hypothesis = _learn(args, target, teacher, stats)
+    if possibilistic:
         verified = poss_equivalent(hypothesis, target)
     else:
-        target = parse_horn_kb(text)
-        script = (
-            _load_script(args.script, False)
-            if args.cex_strategy == "scripted"
-            else None
-        )
-        teacher = ClassicalTeacher(
-            target, cex_strategy=args.cex_strategy, rng_seed=args.seed, script=script
-        )
-        learner = HornEntailmentLearner(teacher.signature)
-        hypothesis = drive(
-            learner,
-            lambda c: teacher.mq(c, instance="learner"),
-            lambda kb: teacher.eq(kb, instance="learner"),
-        )
-        stats.wall_steps = learner.mqs + learner.eqs
         verified = equivalent(hypothesis, target)
 
     _write_outputs(args, hypothesis, teacher, stats)
@@ -200,6 +183,40 @@ def cmd_learn(args) -> int:
     )
     print(f"hypothesis: {args.out_hypothesis}")
     return EXIT_OK if verified else EXIT_INEQUIVALENT
+
+
+def _learn(args, target, teacher, stats: RunStats):
+    """The hypothesis the learner of ``args.mode`` finds against the teacher."""
+    if args.mode == "classical":
+        learner = HornEntailmentLearner(teacher.signature)
+        hypothesis = drive(
+            learner,
+            lambda c: teacher.mq(c, instance="learner"),
+            lambda kb: teacher.eq(kb, instance="learner"),
+        )
+        stats.wall_steps = learner.mqs + learner.eqs
+        return hypothesis
+    if args.mode == "mq-eq":
+        return learn_with_mq_eq(teacher.signature, teacher.mq, teacher.eq, stats=stats)
+    if args.mode == "mq-only":
+        return learn_with_mq_levels(
+            teacher.signature,
+            args.precision,
+            lambda f, v: teacher.mq(f, v, instance="mq-only"),
+            max_antecedent=args.max_antecedent,
+        )
+    if args.mode == "eq-only":
+        return learn_with_eq_enumeration(
+            lambda kb: teacher.eq(kb, instance="enumeration"),
+            teacher.signature,
+            cap=args.cap,
+        )
+    if args.mode == "pac":
+        dist = UniformClauseDistribution(target, seed=args.seed)
+        return pac_learn(
+            teacher.signature, dist, args.epsilon, args.delta, teacher.mq, stats=stats
+        )
+    raise ConfigError(f"unknown mode {args.mode}")  # pragma: no cover - argparse choices
 
 
 def cmd_verify(args) -> int:

@@ -247,9 +247,15 @@ def _cut_rules(kb: PossKB, a: Valuation) -> tuple[tuple[int, int], ...]:
     return cuts[i] if i < len(cuts) else ()
 
 
+def entails_at(kb: PossKB, phi: HornClause, a: Valuation) -> bool:
+    """kb |= (phi, a) iff the a-cut classically entails phi; the pair need
+    not be a :class:`PossClause`, so a membership query builds none."""
+    return _entails(kb._cut_table[0], _cut_rules(kb, a), phi)
+
+
 def poss_entails(kb: PossKB, c: PossClause) -> bool:
-    """kb |= (phi, a) iff the a-cut classically entails phi."""
-    return _entails(kb._cut_table[0], _cut_rules(kb, c.valuation), c.formula)
+    """kb |= c, decided by :func:`entails_at`."""
+    return entails_at(kb, c.formula, c.valuation)
 
 
 def val_of(kb: PossKB, phi: HornClause) -> Valuation:

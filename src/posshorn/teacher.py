@@ -1,7 +1,9 @@
 """Target-holding oracles answering membership and equivalence queries.
 
-A teacher owns a fixed hidden target, counts every query, logs every event,
-and never exposes the target to the learner side.
+A teacher owns a fixed hidden target, counts every query, logs every event
+to its transcript, and never exposes the target to the learner side.  The
+transcript keeps the events in memory unless the caller passes one that
+streams them to a file, as the CLI does.
 
 There is one teacher, :class:`PossibilisticTeacher`.  A classical Horn KB k
 is the possibilistic KB {(phi, 1) | phi in k}, so :class:`ClassicalTeacher`
@@ -35,8 +37,15 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional, Sequence
 
-from .horn import HornClause, HornKB
-from .possibilistic import PossClause, PossKB, find_counterexample, poss_entails, val_of
+from .horn import FALSUM, HornClause, HornKB
+from .possibilistic import (
+    PossClause,
+    PossKB,
+    entails_at,
+    find_counterexample,
+    poss_entails,
+    val_of,
+)
 from .transcript import Transcript
 from .valuation import Valuation
 
@@ -80,6 +89,7 @@ class PossibilisticTeacher:
         rng_seed: int = 0,
         script: Optional[Sequence[PossClause]] = None,
         cex_precision: int = 2,
+        transcript: Optional[Transcript] = None,
     ) -> None:
         if cex_strategy not in STRATEGIES:
             raise TeacherError(f"unknown strategy: {cex_strategy!r}")
@@ -91,7 +101,7 @@ class PossibilisticTeacher:
         self.script = list(script) if script is not None else []
         self._script_pos = 0
         self.cex_precision = cex_precision
-        self.transcript = Transcript()
+        self.transcript = Transcript() if transcript is None else transcript
         self.mq_count = 0
         self.eq_count = 0
 
@@ -109,10 +119,17 @@ class PossibilisticTeacher:
     def _answer_mq(
         self, formula: HornClause, valuation: Valuation, shown: Optional[str], instance: str
     ) -> bool:
-        if not formula.variables <= self.target.signature:
-            extra = sorted(formula.variables - self.target.signature)
+        signature = self.target.signature
+        cons = formula.consequent
+        if not formula.antecedent <= signature or (
+            cons is not FALSUM and cons not in signature
+        ):
+            extra = sorted(formula.variables - signature)
             raise TeacherError(f"membership query outside target signature: {extra}")
-        answer = poss_entails(self.target, PossClause(formula, valuation))
+        if valuation.is_zero:
+            # the message a PossClause at degree 0 raises
+            raise ValueError(f"formula valuation must be positive: {formula}")
+        answer = entails_at(self.target, formula, valuation)
         self.mq_count += 1
         self.transcript.record(
             "mq", str(formula), shown, "yes" if answer else "no", instance
@@ -176,10 +193,13 @@ class ClassicalTeacher(PossibilisticTeacher):
         cex_strategy: str = "clause-exact",
         rng_seed: int = 0,
         script: Optional[Sequence[HornClause]] = None,
+        transcript: Optional[Transcript] = None,
     ) -> None:
         one = Valuation.one()
         lifted = None if script is None else [PossClause(c, one) for c in script]
-        super().__init__(_at_one(target), cex_strategy, rng_seed, lifted)
+        super().__init__(
+            _at_one(target), cex_strategy, rng_seed, lifted, transcript=transcript
+        )
 
     def mq(self, formula: HornClause, *, instance: str = "") -> bool:
         return self._answer_mq(formula, Valuation.one(), None, instance)

@@ -14,17 +14,22 @@ separators are fixed so replayed sessions compare byte-for-byte: the keys
 are the fields of :class:`Event` in order, and the separators are json's
 defaults, ``", "`` and ``": "``.
 
-Each line is written from that fixed template, with the string fields
-quoted by json's own ASCII encoder, so it is byte-equal to
+Each line is rendered by :func:`render` from that fixed template, with the
+string fields quoted by json's own ASCII encoder, so it is byte-equal to
 ``json.dumps(event._asdict())`` with the default separators and is pure
-ASCII: non-ASCII text is escaped as ``\\uXXXX``.  :meth:`Transcript.write`
-streams the file line by line and never builds the whole text.
+ASCII: non-ASCII text is escaped as ``\\uXXXX``.
+
+A :class:`Transcript` either keeps its events in memory (the library
+default) or, given a text file, writes each event's line to it as the event
+is recorded and keeps nothing.  The CLI streams: its transcript file grows
+during the session, so a session that fails part-way leaves the lines of
+every query answered up to the failure.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional, TextIO
 
 
 class Event(NamedTuple):
@@ -36,11 +41,31 @@ class Event(NamedTuple):
     index: int
 
 
-class Transcript:
-    """Ordered log of oracle events."""
+def render(
+    event: str,
+    input_text: str,
+    valuation: Optional[str],
+    answer: str,
+    instance: str,
+    index: int,
+) -> str:
+    """The JSON line of one event, newline included; ``render(*ev)``."""
+    valuation_json = "null" if valuation is None else _quote(valuation)
+    return (
+        f'{{"event": {_quote(event)}, "input": {_quote(input_text)}, '
+        f'"valuation": {valuation_json}, "answer": {_quote(answer)}, '
+        f'"instance": {_quote(instance)}, "index": {index}}}\n'
+    )
 
-    def __init__(self) -> None:
+
+class Transcript:
+    """Ordered log of oracle events, kept in :attr:`events` or, given a
+    text file ``out``, streamed to it line by line (``events`` stays empty)."""
+
+    def __init__(self, out: Optional[TextIO] = None) -> None:
         self.events: list[Event] = []
+        self.count = 0
+        self._out = out
 
     def record(
         self,
@@ -49,24 +74,17 @@ class Transcript:
         valuation: Optional[str],
         answer: str,
         instance: str,
-    ) -> Event:
-        ev = Event(event, input_text, valuation, answer, instance, len(self.events) + 1)
-        self.events.append(ev)
-        return ev
-
-    def lines(self) -> Iterator[str]:
-        """The JSON line of each event, newline included, in order."""
-        for event, input_text, valuation, answer, instance, index in self.events:
-            valuation_json = "null" if valuation is None else _quote(valuation)
-            yield (
-                f'{{"event": {_quote(event)}, "input": {_quote(input_text)}, '
-                f'"valuation": {valuation_json}, "answer": {_quote(answer)}, '
-                f'"instance": {_quote(instance)}, "index": {index}}}\n'
+    ) -> None:
+        self.count += 1
+        if self._out is None:
+            self.events.append(
+                Event(event, input_text, valuation, answer, instance, self.count)
+            )
+        else:
+            self._out.write(
+                render(event, input_text, valuation, answer, instance, self.count)
             )
 
     def to_jsonl(self) -> str:
-        return "".join(self.lines())
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(self.lines())
+        """The lines of the kept events, joined."""
+        return "".join(render(*ev) for ev in self.events)

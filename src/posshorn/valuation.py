@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 # [0-9], not \d: \d also matches non-ASCII digits such as "\u0663"
 _LITERAL = re.compile(r"^(?:0|1|1\.0|0\.[0-9]+)$")
@@ -121,13 +122,17 @@ class Valuation:
     def __ge__(self, other: "Valuation") -> bool:
         return self._cmp(other) >= 0
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         if self.is_one:
             return "1.0"
         if self.is_zero:
             return "0"
         digits = str(self.mantissa).rjust(self.precision, "0")
         return "0." + digits
+
+    def __str__(self) -> str:
+        return self._text
 
     def __repr__(self) -> str:
         return f"Valuation({str(self)!r})"

@@ -25,6 +25,12 @@ PAC_GOLDEN = {
     "st": GOLDEN.parent / "pac_stats.json",
 }
 
+CLASSICAL_GOLDEN = {
+    "tr": GOLDEN.parent / "classical_transcript.jsonl",
+    "st": GOLDEN.parent / "classical_stats.json",
+}
+
+
 
 def run_learn(tmp_path, *extra):
     out = {
@@ -77,6 +83,18 @@ class TestLearnCommand:
             "escalations": 0,
             "wall_steps": 8,
         }
+
+    def test_classical_session_matches_golden_outputs(self, tmp_path):
+        code, out = run_learn(
+            tmp_path, "--mode", "classical", "--target", str(DATA / "classical.hkb")
+        )
+        assert code == 0
+        assert out["tr"].read_bytes() == CLASSICAL_GOLDEN["tr"].read_bytes()
+        assert out["st"].read_bytes() == CLASSICAL_GOLDEN["st"].read_bytes()
+        # classical membership queries carry no degree
+        events = [json.loads(line) for line in out["tr"].read_text().splitlines()]
+        assert {e["valuation"] for e in events} == {None}
+        assert {e["event"] for e in events} == {"mq", "eq"}
 
     def test_pac_session_matches_golden_outputs(self, tmp_path):
         code, out = run_learn(
@@ -273,6 +291,25 @@ class TestConfigErrorsExit2:
         arabic_kb.write_text("p -> q @ 0.\u0663\n", encoding="utf-8")
         assert main(["verify", str(ascii_kb), str(arabic_kb)]) == 2
         assert "line 1:" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("output", ["hypothesis", "transcript", "stats"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, output):
+        sessions = []
+        learn = cli.learn_with_mq_eq
+        monkeypatch.setattr(
+            cli, "learn_with_mq_eq", lambda *a, **kw: sessions.append(1) or learn(*a, **kw)
+        )
+        paths = {name: tmp_path / name for name in ("hypothesis", "transcript", "stats")}
+        paths[output] = tmp_path / "missing" / output
+        argv = ["learn", "--mode", "mq-eq", "--target", str(DATA / "mqeq.pkb")]
+        for name, path in paths.items():
+            argv += [f"--out-{name}", str(path)]
+        assert main(argv) == 2
+        err = assert_one_error_line(capsys)
+        assert err.startswith(f"error: cannot write {paths[output]}: ")
+        # the transcript is opened before the first query, the other two
+        # files after the session
+        assert sessions == ([] if output == "transcript" else [1])
 
     def test_target_not_utf8_exits_2(self, tmp_path, capsys):
         target = tmp_path / "k.pkb"

@@ -4,13 +4,18 @@ Entailment chains over bitsets and cut tables (``horn``, ``possibilistic``);
 these properties pit it against the truth-table oracle ``tt_entails``, the
 distribution semantics ``pi_k``/``necessity``, and exact ``Fraction``
 arithmetic, and pin the clause scan order to a key written out here.  KBs
-assembled from parts are pinned to ``PossKB.of`` of the same clauses.  Every
-test is derandomized, so a run is reproducible.
+assembled from parts are pinned to ``PossKB.of`` of the same clauses, each
+transcript line to ``json.dumps`` of its event, and the transcript file the
+CLI streams to the in-memory transcript of the same session.  Every test is
+derandomized, so a run is reproducible.
 """
 
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +47,8 @@ from posshorn import (
 )
 from posshorn.horn import _compile
 from posshorn.possibilistic import Assembly, _cut_rules
-from posshorn.transcript import Event, Transcript
+from posshorn import cli
+from posshorn.transcript import Event, Transcript, render
 
 from helpers import random_poss_kb
 
@@ -283,21 +289,116 @@ class TestTranscriptLines:
     @example([Event("mq", "a -> b", None, "yes", "orchestrator", 1)])
     @example([Event("eq", HARD, HARD, HARD, HARD, 10**9)])
     def test_each_line_is_json_dumps_of_its_event(self, evs):
+        lines = [render(*ev) for ev in evs]
+        assert lines == [json.dumps(ev._asdict()) + "\n" for ev in evs]
+        assert all(line.isascii() for line in lines)
         transcript = Transcript()
         transcript.events = evs
-        lines = list(transcript.lines())
-        assert lines == [json.dumps(ev._asdict()) + "\n" for ev in evs]
         assert transcript.to_jsonl() == "".join(lines)
-        assert transcript.to_jsonl().isascii()
 
-    def test_written_file_is_the_jsonl_text(self, tmp_path):
-        transcript = Transcript()
-        transcript.record("mq", "a -> b", "0.25", "yes", "0.3")
-        transcript.record("mq", HARD, None, "no", HARD)
-        transcript.record("eq", "a -> b @ 0.25; true -> c @ 1", None, HARD, "orchestrator")
-        path = tmp_path / "t.jsonl"
-        transcript.write(str(path))
-        assert path.read_bytes() == transcript.to_jsonl().encode()
+    def test_streamed_lines_are_the_kept_lines(self):
+        out = io.StringIO()
+        kept, streamed = Transcript(), Transcript(out)
+        for args in [
+            ("mq", "a -> b", "0.25", "yes", "0.3"),
+            ("mq", HARD, None, "no", HARD),
+            ("eq", "a -> b @ 0.25; true -> c @ 1", None, HARD, "orchestrator"),
+        ]:
+            kept.record(*args)
+            streamed.record(*args)
+        assert [ev.index for ev in kept.events] == [1, 2, 3]
+        assert streamed.events == [] and streamed.count == 3
+        assert out.getvalue() == kept.to_jsonl()
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def cli_session(monkeypatch, work, argv, streamed):
+    """(exit code, transcript file bytes, teacher) of one ``posshorn learn``
+    session; unless ``streamed``, its teacher keeps the events in memory."""
+    teachers = []
+    for name in ("PossibilisticTeacher", "ClassicalTeacher"):
+
+        class Capturing(getattr(cli, name)):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                teachers.append(self)
+
+        monkeypatch.setattr(cli, name, Capturing)
+    if not streamed:
+        monkeypatch.setattr(cli, "Transcript", lambda out: Transcript())
+    work.mkdir()
+    outputs = [
+        f"--out-{name}={work / name}" for name in ("hypothesis", "transcript", "stats")
+    ]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.main(["learn", *argv, *outputs])
+    monkeypatch.undo()
+    (teacher,) = teachers
+    return code, (work / "transcript").read_bytes(), teacher
+
+
+class TestStreamedTranscript:
+    """The CLI writes each event as it happens; the file must be the bytes
+    an in-memory teacher renders for the same session."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [f"--mode=mq-eq", f"--cex-strategy={strategy}", f"--seed={seed}"]
+            for strategy in ("clause-exact", "random", "adversarial-low")
+            for seed in (1, 2)
+        ]
+        + [
+            ["--mode=pac", "--seed=3", "--epsilon=0.1", "--delta=0.1"],
+            ["--mode=pac", "--seed=4", "--epsilon=0.1", "--delta=0.1"],
+            ["--mode=classical", "--cex-strategy=clause-exact"],
+            ["--mode=classical", "--cex-strategy=random", "--seed=5"],
+            ["--mode=mq-eq", "--cex-strategy=scripted", f"--script={DATA / 'mqeq.script'}"],
+        ],
+        ids=lambda argv: " ".join(a.split("=")[1] for a in argv[:2]),
+    )
+    def test_streamed_file_is_the_in_memory_transcript(self, tmp_path, monkeypatch, argv):
+        mode = argv[0].split("=")[1]
+        if mode == "classical":
+            target = DATA / "classical.hkb"
+        elif "--cex-strategy=scripted" in argv:
+            target = DATA / "mqeq.pkb"
+        else:
+            target = tmp_path / "target.pkb"
+            rng = random.Random(" ".join(argv))
+            kb = random_poss_kb(rng, 6, 8, 2)
+            while len(kb.clauses) < 3:
+                kb = random_poss_kb(rng, 6, 8, 2)
+            target.write_text(str(kb) + "\n")
+        argv = [*argv, f"--target={target}"]
+        code, streamed, teacher = cli_session(monkeypatch, tmp_path / "s", argv, True)
+        ref_code, _, ref_teacher = cli_session(monkeypatch, tmp_path / "m", argv, False)
+        # a PAC session may stop at an approximation, exit 1
+        assert code == ref_code and code in ((0, 1) if mode == "pac" else (0,))
+        assert teacher.transcript.events == []
+        assert len(ref_teacher.transcript.events) == teacher.transcript.count > 0
+        assert streamed == ref_teacher.transcript.to_jsonl().encode()
+
+    def test_exhausted_script_leaves_the_queries_up_to_the_failure(
+        self, tmp_path, monkeypatch
+    ):
+        script = tmp_path / "short.script"
+        script.write_text("p -> q1 @ 0.1\n")
+        argv = ["--mode=mq-eq", f"--target={DATA / 'mqeq.pkb'}",
+                "--cex-strategy=scripted", f"--script={script}"]
+        code, streamed, teacher = cli_session(monkeypatch, tmp_path / "s", argv, True)
+        ref_code, _, ref_teacher = cli_session(monkeypatch, tmp_path / "m", argv, False)
+        assert code == ref_code == 3
+        assert teacher.transcript.events == []
+        lines = streamed.decode().splitlines(keepends=True)
+        assert len(lines) == len(ref_teacher.transcript.events) > 1
+        assert streamed == ref_teacher.transcript.to_jsonl().encode()
+        # the session stopped at the EQ the script could not answer
+        assert json.loads(lines[-1])["event"] == "mq"
+        for name in ("hypothesis", "stats"):
+            assert not (tmp_path / "s" / name).exists()
 
 
 @st.composite

@@ -8,6 +8,7 @@ from posshorn import (
     ClassicalTeacher,
     HornEntailmentLearner,
     HornKB,
+    PossClause,
     PossibilisticTeacher,
     ScriptExhausted,
     TeacherError,
@@ -54,6 +55,31 @@ class TestMembership:
     def test_signature_mismatch_rejected(self, teacher):
         with pytest.raises(TeacherError):
             teacher.mq(parse_clause("zz -> p"), Valuation.parse("0.1"))
+
+    @pytest.mark.parametrize(
+        "text,extra",
+        [("zz -> p", "['zz']"), ("p -> zz", "['zz']"), ("p,zz -> false", "['zz']"),
+         ("yy,p -> zz", "['yy', 'zz']")],
+    )
+    def test_signature_mismatch_message(self, teacher, text, extra):
+        # checked before the degree: a zero degree outside the signature
+        # is a TeacherError too
+        for degree in ("0.1", "0"):
+            with pytest.raises(TeacherError) as exc:
+                teacher.mq(parse_clause(text), Valuation.parse(degree))
+            assert str(exc.value) == f"membership query outside target signature: {extra}"
+        assert teacher.mq_count == 0 and teacher.transcript.events == []
+
+    def test_zero_degree_rejected_as_a_clause_would_be(self, teacher):
+        phi = parse_clause("p -> q1")
+        with pytest.raises(ValueError) as from_clause:
+            PossClause(phi, Valuation.zero())
+        with pytest.raises(ValueError) as from_mq:
+            teacher.mq(phi, Valuation.zero())
+        assert type(from_mq.value) is ValueError
+        assert str(from_mq.value) == str(from_clause.value)
+        assert str(from_mq.value) == "formula valuation must be positive: p -> q1"
+        assert teacher.mq_count == 0 and teacher.transcript.events == []
 
 
 class TestEquivalence:
