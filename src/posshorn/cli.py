@@ -58,7 +58,7 @@ from .lift import (
     learn_with_mq_eq,
     learn_with_mq_levels,
 )
-from .pac import UniformClauseDistribution, pac_learn
+from .pac import UniformClauseDistribution, check_rates, pac_learn
 from .possibilistic import (
     necessity,
     parse_poss_kb,
@@ -142,8 +142,11 @@ def cmd_learn(args) -> int:
         raise ConfigError("mq-only mode requires --precision")
     if args.cex_strategy == "scripted" and args.script is None:
         raise ConfigError("scripted strategy requires --script")
-    if args.mode == "pac" and not (0 < args.epsilon < 1 and 0 < args.delta < 1):
-        raise ConfigError("pac mode requires --epsilon and --delta in (0, 1)")
+    if args.mode == "pac":
+        try:
+            check_rates(args.epsilon, args.delta)
+        except ValueError as exc:
+            raise ConfigError(f"pac mode needs usable --epsilon and --delta: {exc}")
     possibilistic = args.mode != "classical"
     text = _read(args.target)
     if possibilistic and not _is_possibilistic_text(text):
@@ -263,6 +266,18 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
+def _at_least(low: int):
+    """An argparse type for integers >= low: a bad value exits 2."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # non-integers read "invalid int value", as before
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posshorn",
@@ -273,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn = sub.add_parser("learn", help="run a learning session against a teacher")
     learn.add_argument("--mode", choices=MODES, required=True)
     learn.add_argument("--target", required=True, help="target KB file")
-    learn.add_argument("--precision", type=int, default=None, help="mq-only grid precision")
+    learn.add_argument("--precision", type=_at_least(1), help="mq-only grid precision")
     learn.add_argument(
         "--cex-strategy",
         choices=STRATEGIES,
@@ -281,11 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     learn.add_argument("--script", default=None, help="counterexample replay file")
     learn.add_argument("--seed", type=int, default=0)
-    learn.add_argument("--cap", type=int, default=100000, help="eq-only enumeration cap")
+    learn.add_argument("--cap", type=_at_least(1), default=100000, help="eq-only enumeration cap")
     learn.add_argument("--epsilon", type=float, default=0.1)
     learn.add_argument("--delta", type=float, default=0.05)
     learn.add_argument(
-        "--max-antecedent", type=int, default=2, help="mq-only clause-size bound"
+        "--max-antecedent", type=_at_least(0), default=2, help="mq-only clause-size bound"
     )
     learn.add_argument("--out-hypothesis", default="hypothesis.out.pkb")
     learn.add_argument("--out-transcript", default="transcript.out.jsonl")
@@ -302,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check cut-based val against the brute-force distribution",
     )
     oracle.add_argument("kb")
-    oracle.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP)
-    oracle.add_argument("--budget", type=int, default=5000, help="max clauses checked")
+    oracle.add_argument("--cap", type=_at_least(0), default=BRUTE_FORCE_CAP)
+    oracle.add_argument("--budget", type=_at_least(1), default=5000, help="max clauses checked")
     oracle.set_defaults(func=cmd_oracle_check)
     return parser
 

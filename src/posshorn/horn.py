@@ -16,13 +16,17 @@ and the ``oracle-check`` command, never by the learners.
 
 Text format, one clause per line: ``ANT -> CONS`` where ANT is ``true`` or a
 comma-separated variable list and CONS is a variable or ``false``.
+
+The package's value types are written by hand on :class:`_Record` and its
+immutable :class:`_Value`: importing :mod:`dataclasses` and generating their
+methods would cost a cold ``posshorn`` start more than a small learning run.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 FALSUM = None  # consequent of an integrity constraint, printed as "false"
@@ -41,18 +45,59 @@ def check_variable(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class HornClause:
+_set = object.__setattr__  # how a constructor stores a field of a _Value
+
+
+class _Record:
+    """A record of the attributes named in ``_fields``: ``==`` compares their
+    tuple, ``_key(self)``, between instances of one class, and the repr names
+    each.  ``==``, and a _Value's hash, are closures made per class: no source
+    is generated and compiled, as ``dataclasses`` does."""
+
+    __slots__ = ()
+    __hash__ = None  # mutable, like a dataclass that is not frozen
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:
+            key = cls._key = attrgetter(*cls._fields)
+            cls.__eq__ = lambda self, other: (
+                key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+            )
+            if issubclass(cls, _Value):
+                cls.__hash__ = lambda self: hash(key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """A frozen record: assignment and ``del`` raise AttributeError, and
+    pickling or copying goes through the constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, self._key(self)
+
+
+class HornClause(_Value):
     """A definite clause or integrity constraint: antecedent -> consequent.
 
     The consequent is a variable, or FALSUM (None) for constraints.
     """
 
-    antecedent: frozenset[str]
-    consequent: Optional[str]
+    __slots__ = _fields = ("antecedent", "consequent")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "antecedent", frozenset(self.antecedent))
+    def __init__(self, antecedent: Iterable[str], consequent: Optional[str]) -> None:
+        _set(self, "antecedent", frozenset(antecedent))
+        _set(self, "consequent", consequent)
 
     @property
     def is_tautology(self) -> bool:
@@ -151,16 +196,17 @@ def _entails(index: dict[str, int], rules, clause: HornClause) -> bool:
     return bool(_chain(rules, seed, goal) & goal)
 
 
-@dataclass(frozen=True)
-class HornKB:
+class HornKB(_Value):
     """An immutable finite set of Horn clauses over an explicit signature."""
 
-    clauses: frozenset[HornClause]
-    signature: frozenset[str]
+    _fields = ("clauses", "signature")
+
+    def __init__(self, clauses: Iterable[HornClause], signature: Iterable[str]) -> None:
+        _set(self, "clauses", frozenset(clauses))
+        _set(self, "signature", frozenset(signature))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "clauses", frozenset(self.clauses))
-        object.__setattr__(self, "signature", frozenset(self.signature))
         occurring = {v for c in self.clauses for v in c.variables}
         if not occurring <= self.signature:
             missing = sorted(occurring - self.signature)

@@ -34,7 +34,6 @@ in this module exploits that bridge:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, count, product
 from typing import Callable, Iterator, Optional
 
@@ -46,7 +45,7 @@ from .classical import (
     learn_by_eq_enumeration,
     learn_by_mq_enumeration,
 )
-from .horn import HornClause, HornKB, entails
+from .horn import HornClause, HornKB, _Record, entails
 from .possibilistic import Assembly, Part, PossClause, PossKB, projection
 from .valuation import Valuation, grid
 
@@ -61,15 +60,21 @@ class PrecisionTooLow(Exception):
     """The working precision is provably below the target precision."""
 
 
-@dataclass
-class RunStats:
+class RunStats(_Record):
     """Aggregate counters and scheduling trace of a learning session."""
 
-    instances_spawned: int = 0
-    wall_steps: int = 0
-    escalations: int = 0
-    spawn_order: list[str] = field(default_factory=list)
-    dispatches: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
+    _fields = ("instances_spawned", "wall_steps", "escalations", "spawn_order", "dispatches")
+
+    def __init__(
+        self, instances_spawned: int = 0, wall_steps: int = 0, escalations: int = 0,
+        spawn_order: Optional[list[str]] = None,
+        dispatches: Optional[list[tuple[str, tuple[str, ...]]]] = None,
+    ) -> None:
+        self.instances_spawned = instances_spawned
+        self.wall_steps = wall_steps
+        self.escalations = escalations
+        self.spawn_order = [] if spawn_order is None else spawn_order
+        self.dispatches = [] if dispatches is None else dispatches
 
 
 def find_valuation(mq: PossMQ, p: int, phi: HornClause) -> Valuation:

@@ -33,19 +33,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .classical import ProtocolError
-from .horn import _FALSUM_BIT, FALSUM, HornClause, _chain
+from .horn import _FALSUM_BIT, FALSUM, HornClause, _chain, _Record
 from .lift import RunStats, learn_with_mq_eq
 from .possibilistic import PossClause, PossKB, _cut_rules, poss_entails
 from .valuation import Valuation
 
 
-@dataclass
-class UniformClauseDistribution:
+class UniformClauseDistribution(_Record):
     """Uniform over (antecedent subset, consequent, grid valuation) triples.
 
     Antecedents include each signature variable independently with
@@ -60,9 +57,12 @@ class UniformClauseDistribution:
     up once at construction; ``draws`` counts every draw.
     """
 
-    target: PossKB
-    seed: int
-    draws: int = field(default=0, init=False)
+    _fields = ("target", "seed", "draws")
+    draws = 0  # the first draw makes it an instance attribute
+
+    def __init__(self, target: PossKB, seed: int) -> None:
+        self.target, self.seed = target, seed
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
@@ -106,6 +106,16 @@ def sample_size(epsilon: float, delta: float, i: int) -> int:
     return math.ceil((1.0 / epsilon) * (math.log(1.0 / delta) + i * math.log(2.0)))
 
 
+def check_rates(epsilon: float, delta: float) -> None:
+    """ValueError unless both lie in (0, 1) and the first sampled EQ has a finite size."""
+    if not 0 < epsilon < 1 or not 0 < delta < 1:
+        raise ValueError("epsilon and delta must lie in (0, 1)")
+    try:
+        sample_size(epsilon, delta, 1)
+    except OverflowError:
+        raise ValueError(f"epsilon {epsilon} and delta {delta} give an infinite sample size") from None
+
+
 def _disagreements(hypothesis: PossKB, dist, n: int) -> Iterator[tuple[PossClause, bool]]:
     """(example, label) of each of n fresh samples that the hypothesis labels
     differently; drawing stops when the caller stops reading.  On ints, the
@@ -146,8 +156,7 @@ def pac_learn(
     With ``exact_eq`` supplied, the sampling layer is bypassed entirely and
     the run is identical to plain exact learning (degenerate-case check).
     """
-    if not 0 < epsilon < 1 or not 0 < delta < 1:
-        raise ValueError("epsilon and delta must lie in (0, 1)")
+    check_rates(epsilon, delta)
     if exact_eq is not None:
         return learn_with_mq_eq(signature, mq, exact_eq, stats=stats)
 
@@ -170,9 +179,10 @@ def pac_learn(
     return learn_with_mq_eq(signature, mq, sampling_eq, stats=stats)
 
 
-def empirical_error(hypothesis: PossKB, dist, n: int) -> Fraction:
-    """Fraction of n fresh samples where hypothesis entailment differs from
-    the label, counted by the scan of a sampled EQ."""
+def empirical_error(hypothesis: PossKB, dist, n: int):
+    """The :class:`~fractions.Fraction` of n fresh samples where hypothesis
+    entailment differs from the label, counted by the scan of a sampled EQ."""
+    from fractions import Fraction  # imported here: its only use in the package
     if n < 1:
         raise ValueError("need at least one sample")
     return Fraction(sum(1 for _ in _disagreements(hypothesis, dist, n)), n)

@@ -32,7 +32,6 @@ comments and blank lines ignored.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -43,6 +42,8 @@ from .horn import (
     HornClause,
     HornKB,
     HornSyntaxError,
+    _set,
+    _Value,
     _bit_index,
     _compile,
     _entails,
@@ -57,16 +58,16 @@ from .horn import (
 from .valuation import Valuation
 
 
-@dataclass(frozen=True)
-class PossClause:
+class PossClause(_Value):
     """A Horn clause asserted to hold with necessity at least ``valuation``."""
 
-    formula: HornClause
-    valuation: Valuation
+    _fields = ("formula", "valuation")
 
-    def __post_init__(self) -> None:
-        if self.valuation.is_zero:
-            raise ValueError(f"formula valuation must be positive: {self.formula}")
+    def __init__(self, formula: HornClause, valuation: Valuation) -> None:
+        if valuation.is_zero:
+            raise ValueError(f"formula valuation must be positive: {formula}")
+        _set(self, "formula", formula)
+        _set(self, "valuation", valuation)
 
     @cached_property
     def _text(self) -> str:
@@ -76,16 +77,14 @@ class PossClause:
         return self._text
 
 
-@dataclass(frozen=True)
-class PossKB:
+class PossKB(_Value):
     """An immutable finite set of possibilistic clauses over a signature."""
 
-    clauses: frozenset[PossClause]
-    signature: frozenset[str]
+    _fields = ("clauses", "signature")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "clauses", frozenset(self.clauses))
-        object.__setattr__(self, "signature", frozenset(self.signature))
+    def __init__(self, clauses: Iterable[PossClause], signature: Iterable[str]) -> None:
+        _set(self, "clauses", frozenset(clauses))
+        _set(self, "signature", frozenset(signature))
         occurring = {v for c in self.clauses for v in c.formula.variables}
         if not occurring <= self.signature:
             missing = sorted(occurring - self.signature)
@@ -312,12 +311,14 @@ def poss_equivalent(a: PossKB, b: PossKB) -> bool:
 # -- brute-force semantic oracle -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(_Value):
     """A possibility degree for every assignment over a signature."""
 
-    degrees: dict[frozenset[str], Valuation]
-    signature: frozenset[str]
+    _fields = ("degrees", "signature")
+
+    def __init__(self, degrees: dict[frozenset[str], Valuation], signature: frozenset[str]):
+        _set(self, "degrees", degrees)
+        _set(self, "signature", signature)
 
     def __getitem__(self, world: frozenset[str]) -> Valuation:
         return self.degrees[world]

@@ -15,8 +15,9 @@ positive degree" needs a sentinel, but formula valuations must be positive.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
+
+from .horn import _set, _Value
 
 # [0-9], not \d: \d also matches non-ASCII digits such as "\u0663"
 _LITERAL = re.compile(r"^(?:0|1|1\.0|0\.[0-9]+)$")
@@ -26,26 +27,27 @@ class ValuationError(ValueError):
     """Raised for malformed decimal literals or out-of-range values."""
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(_Value):
     """An exact decimal in [0, 1], canonicalized on construction."""
 
-    mantissa: int
-    precision: int
+    _fields = ("mantissa", "precision")
+
+    def __init__(self, mantissa: int, precision: int) -> None:
+        _set(self, "mantissa", mantissa)
+        _set(self, "precision", precision)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.precision < 1:
-            raise ValuationError("precision must be a positive integer")
-        if not 0 <= self.mantissa <= 10**self.precision:
-            raise ValuationError(
-                f"value {self.mantissa}e-{self.precision} outside [0, 1]"
-            )
         m, p = self.mantissa, self.precision
+        if p < 1:
+            raise ValuationError("precision must be a positive integer")
+        if not 0 <= m <= 10**p:
+            raise ValuationError(f"value {m}e-{p} outside [0, 1]")
         while p > 1 and m % 10 == 0:
             m //= 10
             p -= 1
-        object.__setattr__(self, "mantissa", m)
-        object.__setattr__(self, "precision", p)
+        _set(self, "mantissa", m)
+        _set(self, "precision", p)
 
     # -- constructors ------------------------------------------------------
 

@@ -4,6 +4,8 @@ import importlib
 import io
 import json
 import pkgutil
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -284,6 +286,44 @@ class TestConfigErrorsExit2:
         assert code == 2
         assert_one_error_line(capsys)
 
+    def test_pac_epsilon_with_infinite_sample_size(self, tmp_path, capsys):
+        target = str(DATA / "hypothesis.pkb")
+        code, _ = run_learn(
+            tmp_path, "--mode", "pac", "--target", target, "--epsilon", "5e-324",
+            "--delta", "0.5",
+        )
+        assert code == 2
+        assert "--epsilon" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["learn", "--mode", "eq-only", "--cap", "0"], "--cap"),
+            (["learn", "--mode", "mq-only", "--precision", "0"], "--precision"),
+            (
+                ["learn", "--mode", "mq-only", "--precision", "1", "--max-antecedent=-1"],
+                "--max-antecedent",
+            ),
+            (["oracle-check", "--budget", "0"], "--budget"),
+            (["oracle-check", "--cap=-1"], "--cap"),
+        ],
+        ids=["learn-cap", "precision", "max-antecedent", "oracle-budget", "oracle-cap"],
+    )
+    def test_integer_flag_below_its_least_value(self, tmp_path, capsys, argv, flag):
+        target = str(DATA / "hypothesis.pkb")
+        if argv[0] == "learn":
+            outs = [f"--out-{n}={tmp_path / n}" for n in ("hypothesis", "transcript", "stats")]
+            argv = [*argv, "--target", target, *outs]
+        else:
+            argv = [*argv, target]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"error: argument {flag}: " in errors[0]
+        assert not (tmp_path / "transcript").exists()
 
     def test_unicode_digit_in_kb_exits_2(self, tmp_path, capsys):
         ascii_kb, arabic_kb = tmp_path / "a.pkb", tmp_path / "b.pkb"
@@ -323,6 +363,26 @@ class TestConfigErrorsExit2:
         kb.write_bytes(b"a -> b\xff @ 0.5\n")
         assert main(["verify", str(DATA / "mqeq.pkb"), str(kb)]) == 2
         assert f"cannot read {kb}" in assert_one_error_line(capsys)
+
+
+class TestColdStart:
+    def test_cli_import_leaves_out_dataclasses_inspect_fractions(self):
+        """A fresh interpreter importing the CLI loads none of these; the
+        modules loaded before the import (by ``site``, say) do not count."""
+        src = Path(posshorn.__file__).resolve().parent.parent
+        code = (
+            "import sys; before = set(sys.modules); import posshorn.cli; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        added = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=src,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        assert "posshorn.cli" in added
+        assert not {"dataclasses", "inspect", "fractions"} & set(added)
 
 
 class TestVerifyCommand:

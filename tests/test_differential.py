@@ -10,12 +10,20 @@ CLI streams to the in-memory transcript of the same session.  Every test is
 derandomized, so a run is reproducible.
 """
 
+import copy
+import inspect
 import io
 import json
+import operator
+import pickle
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Optional
 
 import pytest
 
@@ -45,8 +53,11 @@ from posshorn import (
     tt_entails,
     val_of,
 )
-from posshorn.horn import _compile
-from posshorn.possibilistic import Assembly, _cut_rules
+from posshorn.horn import _compile, scan_key
+from posshorn.lift import RunStats
+from posshorn.pac import UniformClauseDistribution
+from posshorn.possibilistic import Assembly, Distribution, _cut_rules
+from posshorn.valuation import ValuationError
 from posshorn import cli
 from posshorn.transcript import Event, Transcript, render
 
@@ -502,3 +513,257 @@ class TestPooledAssembly:
             assert submitted
             for h in submitted:
                 assert_same_kb(h, PossKB.of(h.clauses, h.signature))
+
+
+# -- the value types against the dataclasses they replaced ------------------
+#
+# Each Parent* class repeats the dataclass definition its posshorn namesake
+# had (fields, __post_init__, and the methods that shape ==, hash, repr, str
+# and order), so the hand-written types are checked against what
+# ``dataclasses`` generated for them.
+
+
+@dataclass(frozen=True)
+class ParentHornClause:
+    antecedent: frozenset[str]
+    consequent: Optional[str]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "antecedent", frozenset(self.antecedent))
+
+    def __str__(self) -> str:
+        ant = ",".join(sorted(self.antecedent)) if self.antecedent else "true"
+        cons = "false" if self.consequent is FALSUM else self.consequent
+        return f"{ant} -> {cons}"
+
+
+@dataclass(frozen=True)
+class ParentHornKB:
+    clauses: frozenset[ParentHornClause]
+    signature: frozenset[str]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "clauses", frozenset(self.clauses))
+        object.__setattr__(self, "signature", frozenset(self.signature))
+
+    def __str__(self) -> str:
+        return "\n".join(str(c) for c in sorted(self.clauses, key=scan_key))
+
+
+@dataclass(frozen=True)
+class ParentValuation:
+    mantissa: int
+    precision: int
+
+    def __post_init__(self) -> None:
+        if self.precision < 1:
+            raise ValuationError("precision must be a positive integer")
+        if not 0 <= self.mantissa <= 10**self.precision:
+            raise ValuationError("outside [0, 1]")
+        m, p = self.mantissa, self.precision
+        while p > 1 and m % 10 == 0:
+            m //= 10
+            p -= 1
+        object.__setattr__(self, "mantissa", m)
+        object.__setattr__(self, "precision", p)
+
+    def _cmp(self, other) -> int:
+        return self.mantissa * 10**other.precision - other.mantissa * 10**self.precision
+
+    def __lt__(self, other) -> bool:
+        return self._cmp(other) < 0
+
+    def __le__(self, other) -> bool:
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other) -> bool:
+        return self._cmp(other) > 0
+
+    def __ge__(self, other) -> bool:
+        return self._cmp(other) >= 0
+
+    def __str__(self) -> str:
+        if self.mantissa == 10 and self.precision == 1:
+            return "1.0"
+        if self.mantissa == 0:
+            return "0"
+        return "0." + str(self.mantissa).rjust(self.precision, "0")
+
+    def __repr__(self) -> str:
+        return f"Valuation({str(self)!r})"
+
+
+@dataclass(frozen=True)
+class ParentPossClause:
+    formula: ParentHornClause
+    valuation: ParentValuation
+
+    def __post_init__(self) -> None:
+        if self.valuation.mantissa == 0:
+            raise ValueError("formula valuation must be positive")
+
+    def __str__(self) -> str:
+        return f"{self.formula} @ {self.valuation}"
+
+
+@dataclass(frozen=True)
+class ParentPossKB:
+    clauses: frozenset[ParentPossClause]
+    signature: frozenset[str]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "clauses", frozenset(self.clauses))
+        object.__setattr__(self, "signature", frozenset(self.signature))
+
+    def __str__(self) -> str:
+        key = lambda c: (scan_key(c.formula), c.valuation)  # noqa: E731
+        return "\n".join(str(c) for c in sorted(self.clauses, key=key))
+
+
+@dataclass(frozen=True)
+class ParentDistribution:
+    degrees: dict[frozenset[str], ParentValuation]
+    signature: frozenset[str]
+
+
+@dataclass
+class ParentUniformClauseDistribution:
+    target: PossKB
+    seed: int
+    draws: int = field(default=0, init=False)
+
+
+@dataclass
+class ParentRunStats:
+    instances_spawned: int = 0
+    wall_steps: int = 0
+    escalations: int = 0
+    spawn_order: list[str] = field(default_factory=list)
+    dispatches: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
+
+
+NEW = SimpleNamespace(
+    HornClause=HornClause, HornKB=HornKB, Valuation=Valuation, PossClause=PossClause,
+    PossKB=PossKB, Distribution=Distribution, RunStats=RunStats,
+    UniformClauseDistribution=UniformClauseDistribution,
+)
+PARENT = SimpleNamespace(**{name: globals()["Parent" + name] for name in vars(NEW)})
+PARENT_FIELDS = {c: [f.name for f in fields(c)] for c in vars(PARENT).values()}
+LETTERS = frozenset("abc")
+
+# Each strategy draws a builder: a function from NEW or PARENT to an object,
+# so one draw makes the hand-written object and its dataclass twin.
+letters = st.sampled_from(sorted(LETTERS))
+
+
+def valuation_builders(least=0):
+    return st.integers(1, 3).flatmap(
+        lambda p: st.integers(least, 10**p).map(
+            lambda m: lambda t: t.Valuation(mantissa=m, precision=p)
+        )
+    )
+
+
+clause_builders = st.builds(
+    lambda ant, cons: lambda t: t.HornClause(antecedent=ant, consequent=cons),
+    st.frozensets(letters),
+    st.one_of(st.just(FALSUM), letters),
+)
+poss_clause_builders = st.builds(
+    lambda phi, a: lambda t: t.PossClause(formula=phi(t), valuation=a(t)),
+    clause_builders,
+    valuation_builders(least=1),
+)
+
+
+def kb_builders(kind, clause_builders):
+    return st.lists(clause_builders, max_size=3).map(
+        lambda body: lambda t: getattr(t, kind)(
+            clauses=[c(t) for c in body], signature=LETTERS
+        )
+    )
+
+
+distribution_builders = st.dictionaries(
+    st.frozensets(letters), valuation_builders(), max_size=3
+).map(
+    lambda degrees: lambda t: t.Distribution(
+        degrees={w: a(t) for w, a in degrees.items()}, signature=LETTERS
+    )
+)
+run_stats_builders = st.builds(
+    lambda n, order: lambda t: t.RunStats(instances_spawned=n, spawn_order=list(order)),
+    st.integers(0, 3),
+    st.lists(st.sampled_from(["0.3", "0.7"]), max_size=2),
+)
+sampler_builders = st.builds(
+    # the sampler reads the target's cut table, so both get a PossKB
+    lambda target, seed: lambda t: t.UniformClauseDistribution(
+        target=target(NEW), seed=seed
+    ),
+    kb_builders("PossKB", poss_clause_builders),
+    st.integers(0, 2),
+)
+value_builders = st.one_of(
+    valuation_builders(),
+    clause_builders,
+    poss_clause_builders,
+    kb_builders("HornKB", clause_builders),
+    kb_builders("PossKB", poss_clause_builders),
+    distribution_builders,
+    run_stats_builders,
+    sampler_builders,
+)
+
+
+def outcome(f, *args):
+    """f(*args), or the exception it raised, with every AttributeError
+    (``dataclasses.FrozenInstanceError`` is one) as AttributeError."""
+    try:
+        return "ok", f(*args)
+    except AttributeError:
+        return "raised", AttributeError
+    except Exception as exc:
+        return "raised", type(exc)
+
+
+def unparent(text: str) -> str:
+    return text.replace("Parent", "")
+
+
+class TestValueTypes:
+    def test_constructor_signatures_match(self):
+        for name, new in vars(NEW).items():
+            params = inspect.signature(new).parameters
+            parent = inspect.signature(getattr(PARENT, name)).parameters
+            assert [(p.name, p.kind) for p in params.values()] == [
+                (p.name, p.kind) for p in parent.values()
+            ], name
+
+    @SETTINGS
+    @given(st.lists(value_builders, min_size=1, max_size=5))
+    # two classes whose instances hold equal field tuples
+    @example([lambda t: t.HornKB((), LETTERS), lambda t: t.PossKB((), LETTERS)])
+    @example([lambda t: t.HornClause(frozenset("a"), "b"),
+              lambda t: t.PossClause(t.HornClause(frozenset("a"), "b"), t.Valuation(5, 1))])
+    def test_match_the_parent_dataclasses(self, builders):
+        new = [b(NEW) for b in builders] + [("a", "b"), None]
+        parent = [b(PARENT) for b in builders] + [("a", "b"), None]
+        for x, r in zip(new, parent):
+            assert type(x).__name__ == unparent(type(r).__name__)
+            assert outcome(hash, x) == outcome(hash, r)
+            assert repr(x) == unparent(repr(r))
+            assert str(x) == unparent(str(r))
+            for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+                assert type(twin) is type(x) and twin == x
+        for (x, r), (y, s) in product(zip(new, parent), repeat=2):
+            assert (x == y) == (r == s) and (x != y) == (r != s)
+            assert (x.__eq__(y) is NotImplemented) == (r.__eq__(s) is NotImplemented)
+            if isinstance(x, Valuation) and isinstance(y, Valuation):
+                for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                    assert op(x, y) == op(r, s)
+        for b in builders:
+            for name in [*PARENT_FIELDS[type(b(PARENT))], "extra"]:
+                # fresh objects: assignment may succeed on a mutable one
+                assert outcome(setattr, b(NEW), name, 0) == outcome(setattr, b(PARENT), name, 0)
+                assert outcome(delattr, b(NEW), name) == outcome(delattr, b(PARENT), name)

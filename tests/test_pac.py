@@ -109,6 +109,14 @@ class TestSampleSchedule:
         with pytest.raises(ValueError):
             pac_learn(target.signature, dist, 0.5, 1.0, None)
 
+    @pytest.mark.parametrize("epsilon,delta", [(5e-324, 0.5), (0.5, 5e-324)])
+    def test_rejects_an_infinite_sample_size(self, epsilon, delta):
+        target = parse_poss_kb(WORKED_TARGET)
+        dist = UniformClauseDistribution(target, seed=0)
+        with pytest.raises(ValueError, match="infinite sample size"):
+            pac_learn(target.signature, dist, epsilon, delta, None)
+        assert dist.draws == 0
+
 
 class TestDistributions:
     def test_uniform_labels_match_target(self):
