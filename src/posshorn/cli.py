@@ -13,7 +13,8 @@ misconfiguration:
       PAC run that stopped at an approximation), or ``verify``/``oracle-check``
       found a discrepancy.
 * 2 - unusable input: parse errors, bad flags, missing mode requirements,
-      or an output file that cannot be written.
+      a pac run whose first sampled EQ would exceed ``PAC_SAMPLE_CEILING``
+      examples, or an output file that cannot be written.
 * 3 - the oracle side gave out: scripted counterexamples exhausted or
       invalid, enumeration cap reached, a target finer than the 12-digit
       precision limit, or a violated learning protocol (such as an mq-only
@@ -58,7 +59,7 @@ from .lift import (
     learn_with_mq_eq,
     learn_with_mq_levels,
 )
-from .pac import UniformClauseDistribution, check_rates, pac_learn
+from .pac import UniformClauseDistribution, check_rates, pac_learn, sample_size
 from .possibilistic import (
     necessity,
     parse_poss_kb,
@@ -86,6 +87,11 @@ EXIT_INEQUIVALENT = 1
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
 
+# The most examples a pac run may draw for its first sampled EQ: 1,000 times
+# the largest first sample in use (74, at epsilon = delta = 0.05).  A run at
+# the ceiling finishes in seconds; 1e-12 would draw 1.4e12 examples.
+PAC_SAMPLE_CEILING = 1000 * 74
+
 
 class ConfigError(Exception):
     pass
@@ -99,9 +105,11 @@ def _read(path: str) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def _is_possibilistic_text(text: str) -> bool:
+def _is_possibilistic_text(text: str) -> Optional[bool]:
+    """Whether the first clause line of a KB text carries a degree (``@``);
+    None for a text with no clause lines, which reads as either kind."""
     lines = parse_lines(text, str)
-    return not lines or "@" in lines[0]
+    return "@" in lines[0] if lines else None
 
 
 def _load_script(path: str, possibilistic: bool):
@@ -147,11 +155,18 @@ def cmd_learn(args) -> int:
             check_rates(args.epsilon, args.delta)
         except ValueError as exc:
             raise ConfigError(f"pac mode needs usable --epsilon and --delta: {exc}")
+        first = sample_size(args.epsilon, args.delta, 1)
+        if first > PAC_SAMPLE_CEILING:
+            raise ConfigError(
+                f"--epsilon {args.epsilon} and --delta {args.delta} give a first sampled EQ "
+                f"of {first} examples, above the ceiling of {PAC_SAMPLE_CEILING}"
+            )
     possibilistic = args.mode != "classical"
     text = _read(args.target)
-    if possibilistic and not _is_possibilistic_text(text):
+    kind = _is_possibilistic_text(text)
+    if possibilistic and kind is False:
         raise ConfigError(f"mode {args.mode} needs a possibilistic target (with @)")
-    if not possibilistic and _is_possibilistic_text(text) and text.strip():
+    if not possibilistic and kind:
         raise ConfigError("classical mode needs a classical target (no @)")
     target = parse_poss_kb(text) if possibilistic else parse_horn_kb(text)
     script = (
@@ -225,9 +240,11 @@ def _learn(args, target, teacher, stats: RunStats):
 def cmd_verify(args) -> int:
     text_a, text_b = _read(args.kb_a), _read(args.kb_b)
     poss_a, poss_b = _is_possibilistic_text(text_a), _is_possibilistic_text(text_b)
-    if poss_a != poss_b:
+    if None not in (poss_a, poss_b) and poss_a != poss_b:
         raise ConfigError("cannot compare a possibilistic KB with a classical one")
-    if poss_a:
+    # a file with no clauses takes the other's kind; two such files are equivalent
+    possibilistic = poss_b if poss_a is None else poss_a
+    if possibilistic:
         witness = find_counterexample(parse_poss_kb(text_a), parse_poss_kb(text_b))
     else:
         witness = find_classical_counterexample(

@@ -16,7 +16,11 @@ hidden target, so labels are exact and runs replay deterministically.
 :class:`UniformClauseDistribution` has one draw routine, ``draw()``, which
 returns a draw as ints over the target's compiled cut table: an antecedent
 mask, a consequent bit, a mantissa on the precision-2 grid and the label.
-``sample()`` is ``draw()`` plus building the :class:`PossClause`.
+``sample()`` is ``draw()`` plus building the :class:`PossClause`.  Examples
+with one antecedent mask share one antecedent frozenset, built on the first
+such example; the table of shared sets is cleared when it reaches
+:data:`_SHARED_ANTECEDENTS` entries, so a long stream over a large signature
+does not keep every set alive.
 
 A sampled EQ and :func:`empirical_error` share one scan for the samples the
 hypothesis gets wrong, :func:`_disagreements`.  It tests the hypothesis on
@@ -40,6 +44,8 @@ from .horn import _FALSUM_BIT, FALSUM, HornClause, _chain, _Record
 from .lift import RunStats, learn_with_mq_eq
 from .possibilistic import PossClause, PossKB, _cut_rules, poss_entails
 from .valuation import Valuation
+
+_SHARED_ANTECEDENTS = 4096  # antecedent sets a distribution keeps for sharing
 
 
 class UniformClauseDistribution(_Record):
@@ -73,6 +79,7 @@ class UniformClauseDistribution(_Record):
         self._names[_FALSUM_BIT] = FALSUM
         self._degrees = tuple(Valuation(m, 2) for m in range(1, 101))
         self._cuts = tuple(_cut_rules(self.target, a) for a in self._degrees)
+        self._antecedents: dict[int, frozenset[str]] = {}
 
     def draw(self) -> tuple[int, int, int, bool]:
         """One draw as (antecedent mask, consequent bit, mantissa, label);
@@ -92,8 +99,16 @@ class UniformClauseDistribution(_Record):
         return ant, cons, m, bool(_chain(self._cuts[m - 1], ant, goal) & goal)
 
     def example(self, ant: int, cons: int, m: int) -> PossClause:
-        """The clause of a draw."""
-        antecedent = frozenset(v for v, bit in self._variables if ant & bit)
+        """The clause of a draw; its antecedent is shared with every earlier
+        example of the same mask since the table was last cleared."""
+        antecedents = self._antecedents
+        antecedent = antecedents.get(ant)
+        if antecedent is None:
+            if len(antecedents) >= _SHARED_ANTECEDENTS:
+                antecedents.clear()
+            antecedent = antecedents[ant] = frozenset(
+                v for v, bit in self._variables if ant & bit
+            )
         return PossClause(HornClause(antecedent, self._names[cons]), self._degrees[m - 1])
 
     def sample(self) -> tuple[PossClause, bool]:

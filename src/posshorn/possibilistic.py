@@ -62,6 +62,7 @@ class PossClause(_Value):
     """A Horn clause asserted to hold with necessity at least ``valuation``."""
 
     _fields = ("formula", "valuation")
+    __slots__ = (*_fields, "_text")  # no per-instance __dict__; _text caches str()
 
     def __init__(self, formula: HornClause, valuation: Valuation) -> None:
         if valuation.is_zero:
@@ -69,12 +70,13 @@ class PossClause(_Value):
         _set(self, "formula", formula)
         _set(self, "valuation", valuation)
 
-    @cached_property
-    def _text(self) -> str:
-        return f"{self.formula} @ {self.valuation}"
-
     def __str__(self) -> str:
-        return self._text
+        try:
+            return self._text
+        except AttributeError:
+            text = f"{self.formula} @ {self.valuation}"
+            _set(self, "_text", text)
+            return text
 
 
 class PossKB(_Value):

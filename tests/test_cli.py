@@ -18,6 +18,7 @@ import posshorn.cli as cli
 import posshorn.possibilistic as possibilistic
 from posshorn import parse_poss_clause
 from posshorn.cli import main
+from posshorn.pac import sample_size
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "mqeq_transcript.jsonl"
@@ -295,6 +296,26 @@ class TestConfigErrorsExit2:
         assert code == 2
         assert "--epsilon" in assert_one_error_line(capsys)
 
+    # 4e-5 lies just above the ceiling at the default --delta
+    @pytest.mark.parametrize("epsilon,delta", [("1e-12", "0.5"), ("4e-5", "0.05")])
+    def test_pac_sample_size_above_the_ceiling(self, tmp_path, capsys, epsilon, delta):
+        assert sample_size(float(epsilon), float(delta), 1) > cli.PAC_SAMPLE_CEILING
+        target = str(DATA / "hypothesis.pkb")
+        code, out = run_learn(
+            tmp_path, "--mode", "pac", "--target", target, "--epsilon", epsilon, "--delta", delta
+        )
+        assert code == 2
+        assert "ceiling" in assert_one_error_line(capsys)
+        assert not out["tr"].exists()  # refused before the first query
+
+    def test_pac_sample_size_just_below_the_ceiling_runs(self, tmp_path):
+        assert sample_size(5e-5, 0.05, 1) <= cli.PAC_SAMPLE_CEILING
+        target = str(DATA / "hypothesis.pkb")
+        code, _ = run_learn(
+            tmp_path, "--mode", "pac", "--target", target, "--epsilon", "5e-5", "--delta", "0.05"
+        )
+        assert code == 0
+
     @pytest.mark.parametrize(
         "argv,flag",
         [
@@ -419,6 +440,64 @@ class TestVerifyCommand:
         a.write_text("a -> b\nb -> c\n")
         b.write_text("a -> b\nb -> c\na -> c\n")
         assert main(["verify", str(a), str(b)]) == 0
+
+    @pytest.mark.parametrize(
+        "other,code",
+        [("a -> a\n", 0), ("a -> b\n", 1), ("a -> a @ 0.5\n", 0), ("a -> b @ 0.5\n", 1), ("", 0)],
+    )
+    def test_file_with_no_clauses_takes_the_other_kind(self, tmp_path, other, code):
+        empty, kb = tmp_path / "empty.kb", tmp_path / "other.kb"
+        empty.write_text("# no clauses\n\n")
+        kb.write_text(other)
+        assert main(["verify", str(empty), str(kb)]) == code
+        assert main(["verify", str(kb), str(empty)]) == code
+
+
+# clause lines over a, b, c, tautologies included; degrees on the 0.1 grid
+clause_lines = st.builds(
+    lambda ant, cons, degree: f"{','.join(sorted(ant)) or 'true'} -> {cons} @ {degree}",
+    st.sets(st.sampled_from("abc"), max_size=2),
+    st.sampled_from(["a", "b", "c", "false"]),
+    st.sampled_from(["0.3", "0.5", "1.0"]),
+)
+
+
+class TestLearnThenVerify:
+    """After ``learn`` exits 0, ``verify HYP TARGET`` exits 0, in every mode."""
+
+    RUNS = [
+        ["--mode", "mq-eq", "--cex-strategy", "clause-exact"],
+        ["--mode", "mq-eq", "--cex-strategy", "adversarial-low"],
+        ["--mode", "mq-eq", "--cex-strategy", "random"],
+        ["--mode", "mq-eq", "--cex-strategy", "scripted"],
+        ["--mode", "classical"],
+        ["--mode", "mq-only", "--precision", "1"],
+        ["--mode", "eq-only"],
+        ["--mode", "pac"],
+    ]
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.lists(clause_lines, max_size=3))
+    # targets equivalent to the empty KB
+    @example([])
+    @example(["a -> a @ 1.0"])
+    @example(["a -> a @ 0.5", "a,b -> b @ 0.3"])
+    def test_verify_accepts_what_learn_wrote(self, tmp_path_factory, lines):
+        work = tmp_path_factory.mktemp("round-trip")
+        poss, classical = work / "target.pkb", work / "target.hkb"
+        poss.write_text("".join(f"{line}\n" for line in lines))
+        classical.write_text("".join(f"{line.split(' @ ')[0]}\n" for line in lines))
+        outs = [f"--out-{n}={work / n}" for n in ("hypothesis", "transcript", "stats")]
+        for run in self.RUNS:
+            target = classical if "classical" in run else poss
+            argv = ["learn", *run, "--target", str(target), *outs]
+            if "scripted" in run:
+                argv += ["--script", str(poss)]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                if main(argv) != 0:
+                    continue
+                code = main(["verify", str(work / "hypothesis"), str(target)])
+            assert code == 0, (run, lines)
 
 
 class TestOracleCheckCommand:

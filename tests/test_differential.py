@@ -767,3 +767,16 @@ class TestValueTypes:
                 # fresh objects: assignment may succeed on a mutable one
                 assert outcome(setattr, b(NEW), name, 0) == outcome(setattr, b(PARENT), name, 0)
                 assert outcome(delattr, b(NEW), name) == outcome(delattr, b(PARENT), name)
+
+    def test_poss_clause_has_no_instance_dict(self):
+        clause = PossClause(HornClause(frozenset("ba"), "c"), Valuation(25, 2))
+        assert not hasattr(clause, "__dict__")
+        # the text is cached in a slot on first use, and the cache changes
+        # neither ==, hash nor what pickling rebuilds
+        fresh = PossClause(HornClause(frozenset("ab"), "c"), Valuation(25, 2))
+        assert str(clause) == "a,b -> c @ 0.25" and str(clause) is str(clause)
+        assert clause == fresh and hash(clause) == hash(fresh)
+        assert hash(clause) == hash((clause.formula, clause.valuation))
+        twin = pickle.loads(pickle.dumps(clause))
+        assert twin == clause and hash(twin) == hash(clause)
+        assert str(twin) == str(clause) and not hasattr(twin, "__dict__")

@@ -4,16 +4,20 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posshorn import (
     ClassicalTeacher,
     HornKB,
+    PossClause,
     PossibilisticTeacher,
     PossKB,
     PrecisionTooLow,
     RunStats,
     Valuation,
     assemble,
+    clause_space,
     cut,
     enumerate_poss_kbs,
     equivalent,
@@ -30,10 +34,13 @@ from posshorn import (
     parse_horn_kb,
     parse_poss_clause,
     parse_poss_kb,
+    pi_k,
     poss_equivalent,
     projection,
+    val_of,
 )
 from helpers import random_clause, random_horn_kb, random_poss_kb
+from test_acceptance import QUERY_CONSTANT
 
 
 WORKED_TARGET = "p -> q1 @ 0.3\np -> q2 @ 0.7"
@@ -369,6 +376,54 @@ class TestFullLearning:
             h = learn_with_mq_eq(target.signature, teacher.mq, teacher.eq, stats=stats)
             assert poss_equivalent(h, target)
             assert stats.instances_spawned <= len(target.levels) + 1
+
+
+def grid_between(low: Valuation, high: Valuation, q: int) -> range:
+    """The mantissas k with low < k * 10^-q <= high."""
+    return range(
+        low.mantissa * 10**q // 10**low.precision + 1,
+        high.mantissa * 10**q // 10**high.precision + 1,
+    )
+
+
+class TestAnyLegalTeacher:
+    """The guarantee holds for any counterexample, not only a target clause."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_exact_within_budgets(self, data):
+        n = data.draw(st.integers(1, 5), label="variables")
+        precision = data.draw(st.integers(1, 2), label="precision")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        target = random_poss_kb(random.Random(seed), n, 6, precision)
+        space = list(clause_space(target.signature, n))
+        teacher = PossibilisticTeacher(target)
+        eqs = [0]
+
+        def eq(hypothesis, instance=""):
+            # any formula the target entails above the hypothesis, at any
+            # degree in (val_h, val_t] on a grid of precision up to 4
+            eqs[0] += 1
+            legal = []
+            for phi in space:
+                val_t, val_h = val_of(target, phi), val_of(hypothesis, phi)
+                assert val_h <= val_t, f"negative counterexample {phi} @ {val_h}"
+                if val_h < val_t:
+                    legal.append((phi, val_h, val_t))
+            if not legal:
+                return None
+            phi, val_h, val_t = data.draw(st.sampled_from(legal))
+            grids = {q: grid_between(val_h, val_t, q) for q in range(1, 5)}
+            q = data.draw(st.sampled_from([q for q, ks in grids.items() if ks]))
+            return PossClause(phi, Valuation(data.draw(st.sampled_from(grids[q])), q))
+
+        stats = RunStats()
+        h = learn_with_mq_eq(target.signature, teacher.mq, eq, stats=stats)
+        assert pi_k(PossKB(h.clauses, target.signature)).degrees == pi_k(target).degrees
+        C, m = QUERY_CONSTANT, max(len(target.clauses), 1)
+        assert teacher.mq_count <= C * m * m * n * n
+        assert eqs[0] <= C * m * n
+        assert stats.escalations <= target.prec() - 1
 
 
 class TestReverseReduction:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import posshorn.pac as pac
 from posshorn import (
     FALSUM,
     HornClause,
@@ -149,6 +150,29 @@ class TestDistributions:
         a = UniformClauseDistribution(target, seed=5)
         b = UniformClauseDistribution(target, seed=5)
         assert [a.sample() for _ in range(50)] == [b.sample() for _ in range(50)]
+
+    def test_examples_with_one_mask_share_their_antecedent(self):
+        target = parse_poss_kb(WORKED_TARGET)
+        dist = UniformClauseDistribution(target, seed=8)
+        first: dict = {}
+        for _ in range(200):
+            example, _ = dist.sample()
+            antecedent = example.formula.antecedent
+            assert first.setdefault(antecedent, antecedent) is antecedent
+        # three variables give eight masks, and every one was drawn
+        assert len(first) == 8
+
+    def test_shared_antecedents_stay_within_their_bound(self):
+        signature = [f"x{i}" for i in range(20)]
+        target = PossKB.of([parse_poss_clause("x0 -> x1 @ 0.5")], signature)
+        dist = UniformClauseDistribution(target, seed=9)
+        reference = ReferenceSampler(target, seed=9)
+        largest = 0
+        for _ in range(20_000):
+            # clearing the table changes no example
+            assert dist.sample() == reference.sample()
+            largest = max(largest, len(dist._antecedents))
+        assert largest == pac._SHARED_ANTECEDENTS
 
 
 class TestPacLearning:
