@@ -10,8 +10,9 @@ The package splits into:
 * :mod:`posshorn.teacher` - the target-holding MQ/EQ oracle with
   counterexample strategies, query accounting, and JSON-lines transcripts;
   the classical teacher is the same oracle reading its KB at degree 1;
-* :mod:`posshorn.classical` - classical Horn learners (the resumable MQ+EQ
-  state machine, a bounded MQ-only learner, EQ-only enumeration);
+* :mod:`posshorn.classical` - classical Horn learners (the MQ+EQ learner,
+  which asks MQs through an oracle and waits at its EQs, a bounded MQ-only
+  learner, EQ-only enumeration);
 * :mod:`posshorn.lift` - the possibilistic lifts: level search by binary
   search over degrees, per-level transfers, the multi-instance orchestrator
   with precision escalation, and the reverse reduction;
@@ -57,7 +58,6 @@ from .teacher import (
 from .classical import (
     DONE,
     WAITING_EQ,
-    WAITING_MQ,
     EnumerationCapReached,
     HornEntailmentLearner,
     ProtocolError,

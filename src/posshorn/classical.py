@@ -2,11 +2,11 @@
 
 Three learners live here:
 
-* :class:`HornEntailmentLearner` - the polynomial MQ+EQ learner, written as a
-  resumable state machine: it emits one oracle request at a time and waits;
-  delivering the answer runs it to its next request.  This message-passing
-  shape is what lets the possibilistic orchestrator run many instances side
-  by side and hold them all at their equivalence queries.
+* :class:`HornEntailmentLearner` - the polynomial MQ+EQ learner.  It asks
+  its membership queries through an oracle callable and waits only at its
+  equivalence query: each answer runs it to its next EQ.  Waiting there is
+  what lets the possibilistic orchestrator run many instances side by side
+  and pool their hypotheses into one EQ.
 * :func:`learn_by_mq_enumeration` - a bounded MQ-only learner that simply
   confirms every candidate clause up to an antecedent-size bound.
 * :func:`learn_by_eq_enumeration` - an EQ-only learner that walks a dovetailed
@@ -29,9 +29,8 @@ import json
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
 
-from .horn import FALSUM, HornClause, HornKB, entails, parse_clause
+from .horn import FALSUM, HornClause, HornKB, entails
 
-WAITING_MQ = "waiting-mq"
 WAITING_EQ = "waiting-eq"
 DONE = "done"
 
@@ -49,34 +48,28 @@ def _cons_key(c: Optional[str]) -> tuple[bool, str]:
 
 
 class HornEntailmentLearner:
-    """Resumable MQ+EQ learner for a hidden Horn KB over a known signature.
+    """MQ+EQ learner for a hidden Horn KB over a known signature.
 
-    The learner always waits: at a membership query, at an equivalence query,
-    or done.  Construction and every answer run it to its next request.
+    ``mq`` answers whether the target entails a clause.  The learner waits at
+    an equivalence query or is done; construction and every counterexample
+    run it, membership queries included, to its next equivalence query.
     """
 
-    def __init__(self, signature: Iterable[str]):
+    def __init__(self, signature: Iterable[str], mq: Callable[[HornClause], bool]):
         self.signature = tuple(sorted(set(signature)))
+        self._mq = mq
         self.antecedents: list[frozenset[str]] = []
         self.consequents: list[set[Optional[str]]] = []
         self.mqs = 0
-        self.eqs = 0
-        self._pending_mq: Optional[HornClause] = None
-        self._task: Optional[dict] = None
+        self.eqs = 1  # the EQ on the empty hypothesis
+        self._status = WAITING_EQ
         self._build()
-        self._ask_eq()
 
     # -- protocol surface ----------------------------------------------------
 
     @property
     def status(self) -> str:
         return self._status
-
-    @property
-    def pending_mq(self) -> HornClause:
-        if self._status != WAITING_MQ:
-            raise ProtocolError("no membership query pending")
-        return self._pending_mq
 
     @property
     def pending_hypothesis(self) -> HornKB:
@@ -89,33 +82,48 @@ class HornEntailmentLearner:
             raise ProtocolError("learner has not finished")
         return self._hypothesis
 
-    def answer_mq(self, answer: bool) -> None:
-        if self._status != WAITING_MQ:
-            raise ProtocolError("no membership query to answer")
-        self._scan(bool(answer))
-
     def answer_eq_yes(self) -> None:
         if self._status != WAITING_EQ:
             raise ProtocolError("no equivalence query to answer")
         self._status = DONE
 
     def answer_eq_counterexample(self, cex: HornClause) -> None:
+        """Refine or extend the hypothesis by a positive counterexample.
+
+        The scan looks for the first slot whose intersection I with the
+        counterexample antecedent is a proper subset and a productive
+        refinement.  The slot is refined only when some confirmed clause
+        I -> c is not already entailed by the current hypothesis; refining on
+        a bare confirmation loops when the target holds empty- or
+        small-antecedent clauses another slot already covers, because the
+        shrunk slot then duplicates known material while its own clauses are
+        thrown away.
+        """
         if self._status != WAITING_EQ:
             raise ProtocolError("no equivalence query to answer")
         if not cex.variables <= self._hypothesis.signature:
             raise ProtocolError(f"counterexample outside the signature: {cex}")
         if entails(self._hypothesis, cex):
             raise ProtocolError(f"counterexample already entailed: {cex}")
-        self._task = {
-            "ant": sorted(cex.antecedent),
-            "cons": cex.consequent,
-            "i": 0,
-            "sweep": None,
-            "asked": None,
-            "confirmed": None,
-            "sweep_cache": {},
-        }
-        self._scan(None)
+        swept: dict[frozenset[str], list[Optional[str]]] = {}
+        for i, slot in enumerate(self.antecedents):
+            intersection = slot & cex.antecedent
+            if intersection == slot:
+                continue
+            if intersection not in swept:
+                swept[intersection] = self._sweep(intersection)
+            confirmed = swept[intersection]
+            if any(
+                not entails(self._hypothesis, HornClause(intersection, c))
+                for c in confirmed
+            ):
+                self.antecedents[i] = intersection
+                self.consequents[i] = set(confirmed)
+                break
+        else:
+            self._append(cex.antecedent, cex.consequent)
+        self._build()
+        self.eqs += 1
 
     # -- the counterexample scan -----------------------------------------------
 
@@ -130,72 +138,15 @@ class HornEntailmentLearner:
             self.signature,
         )
 
-    def _ask_mq(self, clause: HornClause) -> None:
-        self._pending_mq = clause
-        self._status = WAITING_MQ
-        self.mqs += 1
-
-    def _ask_eq(self) -> None:
-        self._task = None
-        self._pending_mq = None
-        self._status = WAITING_EQ
-        self.eqs += 1
-
-    def _scan(self, answer: Optional[bool]) -> None:
-        """Run the counterexample scan to its next request.
-
-        The scan looks for the first slot whose intersection with the
-        counterexample antecedent is a productive refinement.  For each slot
-        with a properly smaller intersection I, every candidate I -> c is
-        confirmed with the oracle (cached per I for the lifetime of this
-        counterexample); ``answer`` is the oracle's answer to the candidate in
-        flight, or None when no sweep is.  The slot is refined only when some
-        confirmed clause is not already entailed by the current hypothesis;
-        refining on a bare confirmation loops when the target holds empty- or
-        small-antecedent clauses another slot already covers, because the
-        shrunk slot then duplicates known material while its own clauses are
-        thrown away.
-        """
-        task = self._task
-        ant = frozenset(task["ant"])
-        while task["i"] < len(self.antecedents):
-            i = task["i"]
-            intersection = self.antecedents[i] & ant
-            if intersection == self.antecedents[i]:
-                task["i"] += 1
-                continue
-            key = ",".join(sorted(intersection))
-            if key not in task["sweep_cache"]:
-                if task["sweep"] is None:
-                    task["confirmed"] = []
-                    task["sweep"] = [v for v in self.signature if v not in intersection]
-                    task["sweep"].append(FALSUM)
-                elif answer:
-                    task["confirmed"].append(task["asked"])
-                if task["sweep"]:
-                    task["asked"] = task["sweep"].pop(0)
-                    self._ask_mq(HornClause(intersection, task["asked"]))
-                    return
-                task["sweep_cache"][key] = task["confirmed"]
-                task["sweep"] = None
-            if self._refine_if_productive(i, intersection, task["sweep_cache"][key]):
-                return
-            task["i"] += 1
-        self._append(ant, task["cons"])
-        self._ask_eq()
-
-    def _refine_if_productive(self, slot, intersection, confirmed) -> bool:
-        """Shrink the slot to the intersection if that teaches us anything."""
-        if not any(
-            not entails(self._hypothesis, HornClause(intersection, c))
-            for c in confirmed
-        ):
-            return False
-        self.antecedents[slot] = intersection
-        self.consequents[slot] = set(confirmed)
-        self._build()
-        self._ask_eq()
-        return True
+    def _sweep(self, body: frozenset[str]) -> list[Optional[str]]:
+        """The consequents c of the candidates body -> c that ``mq``
+        confirms, asked in signature order and then falsum."""
+        confirmed = []
+        for c in [v for v in self.signature if v not in body] + [FALSUM]:
+            self.mqs += 1
+            if self._mq(HornClause(body, c)):
+                confirmed.append(c)
+        return confirmed
 
     def _append(self, ant: frozenset[str], cons: Optional[str]) -> None:
         for i, existing in enumerate(self.antecedents):
@@ -205,7 +156,6 @@ class HornEntailmentLearner:
         else:
             self.antecedents.append(ant)
             self.consequents.append({cons})
-        self._build()
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -216,37 +166,28 @@ class HornEntailmentLearner:
             "antecedents": [sorted(a) for a in self.antecedents],
             "consequents": [sorted(cs, key=_cons_key) for cs in self.consequents],
             "status": self._status,
-            "pending_mq": str(self._pending_mq) if self._pending_mq else None,
-            "task": self._task,
             "counters": {"mqs": self.mqs, "eqs": self.eqs},
         }
         return json.dumps(state, indent=2)
 
     @classmethod
-    def from_snapshot(cls, text: str) -> "HornEntailmentLearner":
+    def from_snapshot(
+        cls, text: str, mq: Callable[[HornClause], bool]
+    ) -> "HornEntailmentLearner":
         state = json.loads(text)
-        # older snapshots may carry "minimize_antecedents", "mq_answer" and
-        # a "steps" counter, and their tasks "stage"/"min_order"/"min_idx";
-        # all are ignored
+        # older snapshots may carry "pending_mq", "task", "minimize_antecedents",
+        # "mq_answer" and a "steps" counter; all are ignored.  One taken at a
+        # membership query ("waiting-mq") is refused: its sweep cannot resume.
         status = state["status"]
-        if status not in (WAITING_MQ, WAITING_EQ, DONE):
-            raise ProtocolError(f"snapshot status {status!r} is not a wait")
-        if status == WAITING_MQ and not (state["pending_mq"] and state["task"]):
-            raise ProtocolError("waiting-mq snapshot lacks its query or task")
+        if status not in (WAITING_EQ, DONE):
+            raise ProtocolError(f"snapshot status {status!r} is not an EQ wait or done")
         if len(state["antecedents"]) != len(state["consequents"]):
             raise ProtocolError("snapshot slots differ in antecedents and consequents")
-        learner = cls(state["signature"])
+        learner = cls(state["signature"], mq)
         learner.antecedents = [frozenset(a) for a in state["antecedents"]]
         learner.consequents = [set(cs) for cs in state["consequents"]]
         learner._build()
         learner._status = status
-        learner._task = task = state["task"]
-        if status == WAITING_MQ:
-            if not 0 <= task["i"] < len(learner.antecedents):
-                raise ProtocolError(f"snapshot task slot {task['i']} is out of range")
-            if not {*task["ant"], task["cons"]} - {FALSUM} <= set(learner.signature):
-                raise ProtocolError("snapshot task leaves the signature")
-            learner._pending_mq = parse_clause(state["pending_mq"])
         learner.mqs = state["counters"]["mqs"]
         learner.eqs = state["counters"]["eqs"]
         return learner
@@ -254,14 +195,10 @@ class HornEntailmentLearner:
 
 def drive(
     learner: HornEntailmentLearner,
-    mq: Callable[[HornClause], bool],
     eq: Callable[[HornKB], Optional[HornClause]],
 ) -> HornKB:
-    """Run a learner instance to completion against oracle callables."""
+    """Run a learner instance to completion against an EQ oracle."""
     while learner.status != DONE:
-        if learner.status == WAITING_MQ:
-            learner.answer_mq(mq(learner.pending_mq))
-            continue
         cex = eq(learner.pending_hypothesis)
         if cex is None:
             learner.answer_eq_yes()

@@ -74,6 +74,7 @@ from .teacher import (
     PossibilisticTeacher,
     ScriptExhausted,
     TeacherError,
+    _at_one,
     find_classical_counterexample,
     find_counterexample,
 )
@@ -206,12 +207,10 @@ def cmd_learn(args) -> int:
 def _learn(args, target, teacher, stats: RunStats):
     """The hypothesis the learner of ``args.mode`` finds against the teacher."""
     if args.mode == "classical":
-        learner = HornEntailmentLearner(teacher.signature)
-        hypothesis = drive(
-            learner,
-            lambda c: teacher.mq(c, instance="learner"),
-            lambda kb: teacher.eq(kb, instance="learner"),
+        learner = HornEntailmentLearner(
+            teacher.signature, lambda c: teacher.mq(c, instance="learner")
         )
+        hypothesis = drive(learner, lambda kb: teacher.eq(kb, instance="learner"))
         stats.wall_steps = learner.mqs + learner.eqs
         return hypothesis
     if args.mode == "mq-eq":
@@ -260,7 +259,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    kb = parse_poss_kb(_read(args.kb))
+    text = _read(args.kb)
+    # a classical file holds each clause at degree 1, as the teacher reads it
+    classical = _is_possibilistic_text(text) is False
+    kb = _at_one(parse_horn_kb(text)) if classical else parse_poss_kb(text)
     if len(kb.signature) > args.cap:
         raise ConfigError(
             f"signature size {len(kb.signature)} exceeds brute-force cap {args.cap}"

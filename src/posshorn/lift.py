@@ -13,12 +13,13 @@ in this module exploits that bridge:
   the strict cut above the current level, locate the next level as the least
   valuation among the learned clauses, repeat; at most one iteration per
   distinct target valuation.
-* :func:`orchestrate_mq_eq` runs a pool of resumable MQ+EQ learner instances,
-  one per discovered level.  Instance MQs at label a are answered as (phi, a);
-  when every instance is parked at its equivalence query, the pooled
-  hypotheses (each clause tagged with its instance label, plus a tautology
-  anchor pinning the hypothesis precision to p) are submitted as one
-  possibilistic EQ.  That KB is assembled from per-instance parts (see
+* :func:`orchestrate_mq_eq` runs a pool of MQ+EQ learner instances, one per
+  discovered level.  Each instance asks its MQs at label a as (phi, a)
+  through its own oracle and waits only at its equivalence query.  With
+  every instance waiting there, the pooled hypotheses (each clause tagged
+  with its instance label, plus a tautology anchor pinning the hypothesis
+  precision to p) are submitted as one possibilistic EQ.  That KB is
+  assembled from per-instance parts (see
   :class:`~posshorn.possibilistic.Assembly`), each kept while its instance's
   KB is unchanged.  A counterexample either spawns the instance for its
   level or is forwarded to every pooled instance at or below that level that
@@ -38,7 +39,6 @@ from itertools import combinations, count, product
 from typing import Callable, Iterator, Optional
 
 from .classical import (
-    WAITING_MQ,
     HornEntailmentLearner,
     ProtocolError,
     clause_space,
@@ -233,15 +233,12 @@ def orchestrate_mq_eq(
             held = parts[label] = kb, assembly.part(label, kb.sorted_clauses)
         return held[1]
 
-    def run_until_eq(label: Valuation) -> None:
-        inst, name = pool[label], str(label)
-        while inst.status == WAITING_MQ:
-            inst.answer_mq(mq(inst.pending_mq, label, instance=name))
-
     def spawn(label: Valuation) -> None:
-        pool[label] = HornEntailmentLearner(sig)
-        stats.spawn_order.append(str(label))
-        run_until_eq(label)
+        name = str(label)
+        pool[label] = HornEntailmentLearner(
+            sig, lambda phi: mq(phi, label, instance=name)
+        )
+        stats.spawn_order.append(name)
 
     def orchestrator_mq(phi: HornClause, degree: Valuation) -> bool:
         return mq(phi, degree, instance="orchestrator")
@@ -273,7 +270,6 @@ def orchestrate_mq_eq(
                 )
             for label in receivers:
                 pool[label].answer_eq_counterexample(phi)
-                run_until_eq(label)
             stats.dispatches.append((str(phi), tuple(map(str, receivers))))
     finally:
         stats.instances_spawned += len(pool)

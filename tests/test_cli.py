@@ -463,7 +463,8 @@ clause_lines = st.builds(
 
 
 class TestLearnThenVerify:
-    """After ``learn`` exits 0, ``verify HYP TARGET`` exits 0, in every mode."""
+    """After ``learn`` exits 0, ``verify HYP TARGET`` and ``oracle-check HYP``
+    exit 0, in every mode."""
 
     RUNS = [
         ["--mode", "mq-eq", "--cex-strategy", "clause-exact"],
@@ -482,6 +483,8 @@ class TestLearnThenVerify:
     @example([])
     @example(["a -> a @ 1.0"])
     @example(["a -> a @ 0.5", "a,b -> b @ 0.3"])
+    # a classical hypothesis, which oracle-check reads at degree 1
+    @example(["a -> b @ 1.0", "b,c -> d @ 0.5"])
     def test_verify_accepts_what_learn_wrote(self, tmp_path_factory, lines):
         work = tmp_path_factory.mktemp("round-trip")
         poss, classical = work / "target.pkb", work / "target.hkb"
@@ -497,7 +500,8 @@ class TestLearnThenVerify:
                 if main(argv) != 0:
                     continue
                 code = main(["verify", str(work / "hypothesis"), str(target)])
-            assert code == 0, (run, lines)
+                checked = main(["oracle-check", str(work / "hypothesis")])
+            assert (code, checked) == (0, 0), (run, lines)
 
 
 class TestOracleCheckCommand:

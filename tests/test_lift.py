@@ -1,5 +1,6 @@
 """Possibilistic lifts: level search, per-level transfers, the orchestrator."""
 
+import hashlib
 import math
 import random
 
@@ -453,6 +454,30 @@ class TestReverseReduction:
             )
             assert equivalent(learned, target)
             assert all(c.valuation.is_one for c in lifted)
+
+
+# sha256 over the transcripts of 360 seeded sessions (see TestTranscriptDigest),
+# recorded before the Horn learner asked its MQs through an oracle; the query
+# order, and so every byte, must not change
+SESSIONS_DIGEST = "c1eeee922803f1c1b1dfcd1e1fd0ae8120cc541aa542d003d39988f08def42b8"
+
+
+class TestTranscriptDigest:
+    def test_seeded_sessions_replay_byte_for_byte(self):
+        digest = hashlib.sha256()
+        for strategy in ("clause-exact", "random", "adversarial-low"):
+            rng = random.Random(f"digest-{strategy}")
+            for seed in range(60):
+                target = random_poss_kb(rng, rng.randint(1, 8), 8, rng.randint(1, 2))
+                teacher = PossibilisticTeacher(target, cex_strategy=strategy, rng_seed=seed)
+                learn_with_mq_eq(target.signature, teacher.mq, teacher.eq)
+                digest.update(teacher.transcript.to_jsonl().encode())
+
+                target = random_horn_kb(rng, rng.randint(1, 8), 8)
+                teacher = ClassicalTeacher(target, cex_strategy=strategy, rng_seed=seed)
+                learn_classical_via_possibilistic(target.signature, teacher.mq, teacher.eq)
+                digest.update(teacher.transcript.to_jsonl().encode())
+        assert digest.hexdigest() == SESSIONS_DIGEST
 
 
 class TestPossEnumeration:

@@ -282,8 +282,9 @@ class TestClassicalTranscripts:
             target, cex_strategy=strategy, rng_seed=5, script=script
         )
         drive(
-            HornEntailmentLearner(teacher.signature),
-            lambda c: teacher.mq(c, instance="learner"),
+            HornEntailmentLearner(
+                teacher.signature, lambda c: teacher.mq(c, instance="learner")
+            ),
             lambda kb: teacher.eq(kb, instance="learner"),
         )
         over = HornKB.of(target.clauses | {parse_clause("b -> a")}, target.signature)
