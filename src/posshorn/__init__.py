@@ -11,8 +11,8 @@ The package splits into:
   counterexample strategies, query accounting, and JSON-lines transcripts;
   the classical teacher is the same oracle reading its KB at degree 1;
 * :mod:`posshorn.classical` - classical Horn learners (the MQ+EQ learner,
-  which asks MQs through an oracle and waits at its EQs, a bounded MQ-only
-  learner, EQ-only enumeration);
+  which asks MQs through an oracle and always waits at its EQ, a bounded
+  MQ-only learner, EQ-only enumeration);
 * :mod:`posshorn.lift` - the possibilistic lifts: level search by binary
   search over degrees, per-level transfers, the multi-instance orchestrator
   with precision escalation, and the reverse reduction;
@@ -56,8 +56,6 @@ from .teacher import (
     find_counterexample,
 )
 from .classical import (
-    DONE,
-    WAITING_EQ,
     EnumerationCapReached,
     HornEntailmentLearner,
     ProtocolError,

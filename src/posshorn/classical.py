@@ -3,10 +3,10 @@
 Three learners live here:
 
 * :class:`HornEntailmentLearner` - the polynomial MQ+EQ learner.  It asks
-  its membership queries through an oracle callable and waits only at its
-  equivalence query: each answer runs it to its next EQ.  Waiting there is
-  what lets the possibilistic orchestrator run many instances side by side
-  and pool their hypotheses into one EQ.
+  its membership queries through an oracle callable and always waits at its
+  equivalence query: each counterexample runs it to its next EQ.  Waiting
+  there is what lets the possibilistic orchestrator run many instances side
+  by side and pool their hypotheses into one EQ.
 * :func:`learn_by_mq_enumeration` - a bounded MQ-only learner that simply
   confirms every candidate clause up to an antecedent-size bound.
 * :func:`learn_by_eq_enumeration` - an EQ-only learner that walks a dovetailed
@@ -31,9 +31,6 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .horn import FALSUM, HornClause, HornKB, entails
 
-WAITING_EQ = "waiting-eq"
-DONE = "done"
-
 
 class ProtocolError(RuntimeError):
     """The learning-system message protocol was violated."""
@@ -50,9 +47,10 @@ def _cons_key(c: Optional[str]) -> tuple[bool, str]:
 class HornEntailmentLearner:
     """MQ+EQ learner for a hidden Horn KB over a known signature.
 
-    ``mq`` answers whether the target entails a clause.  The learner waits at
-    an equivalence query or is done; construction and every counterexample
-    run it, membership queries included, to its next equivalence query.
+    ``mq`` answers whether the target entails a clause.  The learner always
+    waits at an EQ on :attr:`pending_hypothesis`: construction and every
+    counterexample run it, MQs included, to the next one.  A "yes" ends the
+    run; the caller that hears it keeps the hypothesis.
     """
 
     def __init__(self, signature: Iterable[str], mq: Callable[[HornClause], bool]):
@@ -62,30 +60,14 @@ class HornEntailmentLearner:
         self.consequents: list[set[Optional[str]]] = []
         self.mqs = 0
         self.eqs = 1  # the EQ on the empty hypothesis
-        self._status = WAITING_EQ
         self._build()
 
     # -- protocol surface ----------------------------------------------------
 
     @property
-    def status(self) -> str:
-        return self._status
-
-    @property
     def pending_hypothesis(self) -> HornKB:
         """The hypothesis this instance currently stands behind."""
         return self._hypothesis
-
-    @property
-    def result(self) -> HornKB:
-        if self._status != DONE:
-            raise ProtocolError("learner has not finished")
-        return self._hypothesis
-
-    def answer_eq_yes(self) -> None:
-        if self._status != WAITING_EQ:
-            raise ProtocolError("no equivalence query to answer")
-        self._status = DONE
 
     def answer_eq_counterexample(self, cex: HornClause) -> None:
         """Refine or extend the hypothesis by a positive counterexample.
@@ -99,8 +81,6 @@ class HornEntailmentLearner:
         shrunk slot then duplicates known material while its own clauses are
         thrown away.
         """
-        if self._status != WAITING_EQ:
-            raise ProtocolError("no equivalence query to answer")
         if not cex.variables <= self._hypothesis.signature:
             raise ProtocolError(f"counterexample outside the signature: {cex}")
         if entails(self._hypothesis, cex):
@@ -165,7 +145,6 @@ class HornEntailmentLearner:
             "signature": list(self.signature),
             "antecedents": [sorted(a) for a in self.antecedents],
             "consequents": [sorted(cs, key=_cons_key) for cs in self.consequents],
-            "status": self._status,
             "counters": {"mqs": self.mqs, "eqs": self.eqs},
         }
         return json.dumps(state, indent=2)
@@ -176,18 +155,18 @@ class HornEntailmentLearner:
     ) -> "HornEntailmentLearner":
         state = json.loads(text)
         # older snapshots may carry "pending_mq", "task", "minimize_antecedents",
-        # "mq_answer" and a "steps" counter; all are ignored.  One taken at a
+        # "mq_answer" and a "steps" counter; all are ignored.  An old "status"
+        # "done" loads as the EQ wait, which its teacher then accepts; one at a
         # membership query ("waiting-mq") is refused: its sweep cannot resume.
-        status = state["status"]
-        if status not in (WAITING_EQ, DONE):
-            raise ProtocolError(f"snapshot status {status!r} is not an EQ wait or done")
+        wait = state.get("status", "waiting-eq")
+        if wait not in ("waiting-eq", "done"):
+            raise ProtocolError(f"snapshot status {wait!r} is not an EQ wait or done")
         if len(state["antecedents"]) != len(state["consequents"]):
             raise ProtocolError("snapshot slots differ in antecedents and consequents")
         learner = cls(state["signature"], mq)
         learner.antecedents = [frozenset(a) for a in state["antecedents"]]
         learner.consequents = [set(cs) for cs in state["consequents"]]
         learner._build()
-        learner._status = status
         learner.mqs = state["counters"]["mqs"]
         learner.eqs = state["counters"]["eqs"]
         return learner
@@ -197,14 +176,14 @@ def drive(
     learner: HornEntailmentLearner,
     eq: Callable[[HornKB], Optional[HornClause]],
 ) -> HornKB:
-    """Run a learner instance to completion against an EQ oracle."""
-    while learner.status != DONE:
-        cex = eq(learner.pending_hypothesis)
+    """The hypothesis ``eq`` accepts (answers None for), answering every
+    counterexample before it."""
+    while True:
+        hypothesis = learner.pending_hypothesis
+        cex = eq(hypothesis)
         if cex is None:
-            learner.answer_eq_yes()
-        else:
-            learner.answer_eq_counterexample(cex)
-    return learner.result
+            return hypothesis
+        learner.answer_eq_counterexample(cex)
 
 
 # -- MQ-only bounded learner --------------------------------------------------

@@ -12,7 +12,8 @@ misconfiguration:
 * 1 - the run finished but verification failed (a learner bug signal, or a
       PAC run that stopped at an approximation), or ``verify``/``oracle-check``
       found a discrepancy.
-* 2 - unusable input: parse errors, bad flags, missing mode requirements,
+* 2 - unusable input: parse errors, bad flags (``--precision`` above the
+      12-digit limit among them), missing mode requirements,
       a pac run whose first sampled EQ would exceed ``PAC_SAMPLE_CEILING``
       examples, or an output file that cannot be written.
 * 3 - the oracle side gave out: scripted counterexamples exhausted or
@@ -53,6 +54,7 @@ from .horn import (
     parse_lines,
 )
 from .lift import (
+    MAX_PRECISION,
     PrecisionTooLow,
     RunStats,
     learn_with_eq_enumeration,
@@ -194,11 +196,11 @@ def cmd_learn(args) -> int:
         verified = equivalent(hypothesis, target)
 
     _write_outputs(args, hypothesis, teacher, stats)
-    status = "verified-equivalent" if verified else "NOT-EQUIVALENT"
+    verdict = "verified-equivalent" if verified else "NOT-EQUIVALENT"
     print(
         f"mode={args.mode} mqs={teacher.mq_count} eqs={teacher.eq_count} "
         f"instances={stats.instances_spawned} escalations={stats.escalations} "
-        f"result={status}"
+        f"result={verdict}"
     )
     print(f"hypothesis: {args.out_hypothesis}")
     return EXIT_OK if verified else EXIT_INEQUIVALENT
@@ -285,13 +287,16 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
-def _at_least(low: int):
-    """An argparse type for integers >= low: a bad value exits 2."""
+def _at_least(low: int, high: Optional[int] = None):
+    """An argparse type for integers >= low, and <= high if given: a bad
+    value exits 2."""
 
     def parse(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
-        return int(text)
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"from {low} to {high}"
+            raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {text}")
+        return value
 
     parse.__name__ = "int"  # non-integers read "invalid int value", as before
     return parse
@@ -307,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     learn = sub.add_parser("learn", help="run a learning session against a teacher")
     learn.add_argument("--mode", choices=MODES, required=True)
     learn.add_argument("--target", required=True, help="target KB file")
-    learn.add_argument("--precision", type=_at_least(1), help="mq-only grid precision")
+    learn.add_argument(
+        "--precision", type=_at_least(1, MAX_PRECISION), help="mq-only grid precision"
+    )
     learn.add_argument(
         "--cex-strategy",
         choices=STRATEGIES,

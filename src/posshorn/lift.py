@@ -56,6 +56,12 @@ PossMQ = Callable[[HornClause, Valuation], bool]
 PossEQ = Callable[[PossKB], Optional[PossClause]]
 
 
+# The finest grid a learner works on: precision escalation stops here, and the
+# CLI's mq-only ``--precision`` takes no more (``10**p`` and scaled degrees
+# have p digits, so a huge p never finishes).
+MAX_PRECISION = 12
+
+
 class PrecisionTooLow(Exception):
     """The working precision is provably below the target precision."""
 
@@ -281,7 +287,7 @@ def learn_with_mq_eq(
     mq: PossMQ,
     eq: PossEQ,
     stats: Optional[RunStats] = None,
-    max_precision: int = 12,
+    max_precision: int = MAX_PRECISION,
 ) -> PossKB:
     """Full MQ+EQ learning with precision escalation p = 1, 2, ...
 

@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posshorn import (
-    DONE,
-    WAITING_EQ,
     ClassicalTeacher,
     EnumerationCapReached,
     HornEntailmentLearner,
@@ -44,26 +42,8 @@ def learner_at_eq() -> HornEntailmentLearner:
 class TestStateMachine:
     def test_fresh_instance_asks_empty_eq(self):
         learner = HornEntailmentLearner(["a", "b"], lambda c: True)
-        assert learner.status == WAITING_EQ
         assert not learner.pending_hypothesis.clauses
         assert learner.eqs == 1
-
-    def test_done_instance_never_resumes(self):
-        learner = HornEntailmentLearner(["a"], lambda c: True)
-        learner.answer_eq_yes()
-        assert learner.status == DONE
-        assert not learner.result.clauses
-        with pytest.raises(ProtocolError):
-            learner.answer_eq_yes()
-        with pytest.raises(ProtocolError):
-            learner.answer_eq_counterexample(parse_clause("true -> a"))
-
-    def test_rejects_answers_out_of_turn(self):
-        # a fresh and a refined learner both wait at their EQ, not done
-        for learner in (HornEntailmentLearner(["a", "b"], lambda c: True), learner_at_eq()):
-            assert learner.status == WAITING_EQ
-            with pytest.raises(ProtocolError):
-                learner.result
 
     def test_rejects_non_counterexample(self):
         teacher = ClassicalTeacher(parse_horn_kb("a -> b"))
@@ -76,7 +56,6 @@ class TestStateMachine:
         learner = HornEntailmentLearner(["a", "b"], lambda c: True)
         with pytest.raises(ProtocolError):
             learner.answer_eq_counterexample(parse_clause("a,z -> b"))
-        assert learner.status == WAITING_EQ
         assert not learner.antecedents
 
 
@@ -223,7 +202,8 @@ class TestAnyLegalTeacher:
 
 # snapshots written before the learner asked its MQs through an oracle: one
 # at a membership query (a,c -> b, then a -> b; sweeping body {a}) and one
-# at the equivalence query after that sweep
+# at the equivalence query after that sweep; and one written when snapshots
+# still carried a status, after the teacher accepted that EQ
 OLD_WAITING_MQ = (
     '{"signature": ["a", "b", "c"], "antecedents": [["a", "c"]], "consequents": [["b"]], '
     '"status": "waiting-mq", "pending_mq": "a -> b", "task": {"ant": ["a"], "cons": "b", '
@@ -235,13 +215,14 @@ OLD_WAITING_EQ = (
     '"status": "waiting-eq", "pending_mq": null, "task": null, '
     '"counters": {"mqs": 3, "eqs": 3}}'
 )
+OLD_DONE = OLD_WAITING_EQ.replace('"waiting-eq"', '"done"')
 
 
 class TestSnapshots:
     def test_snapshot_schema_fields(self):
         learner = HornEntailmentLearner(["a", "b"], lambda c: True)
         state = json.loads(learner.to_snapshot())
-        assert set(state) == {"signature", "antecedents", "consequents", "status", "counters"}
+        assert set(state) == {"signature", "antecedents", "consequents", "counters"}
 
     def test_resume_produces_identical_transcript(self):
         rng = random.Random(55)
@@ -255,13 +236,12 @@ class TestSnapshots:
             teacher = ClassicalTeacher(target)
             learner = HornEntailmentLearner(teacher.signature, teacher.mq)
             interrupted_at = rng.randint(1, max(ref_teacher.eq_count, 2))
-            while learner.status != DONE and teacher.eq_count < interrupted_at:
+            while teacher.eq_count < interrupted_at:  # at least one EQ
                 cex = teacher.eq(learner.pending_hypothesis)
                 if cex is None:
-                    learner.answer_eq_yes()
-                else:
-                    learner.answer_eq_counterexample(cex)
-            if learner.status == DONE:
+                    break
+                learner.answer_eq_counterexample(cex)
+            if cex is None:
                 continue
             resumed = HornEntailmentLearner.from_snapshot(learner.to_snapshot(), teacher.mq)
             assert resumed.to_snapshot() == learner.to_snapshot()
@@ -277,15 +257,14 @@ class TestSnapshots:
 
             teacher = ClassicalTeacher(target)
             learner = HornEntailmentLearner(teacher.signature, teacher.mq)
-            while learner.status != DONE:
+            while True:
                 learner = HornEntailmentLearner.from_snapshot(learner.to_snapshot(), teacher.mq)
                 cex = teacher.eq(learner.pending_hypothesis)
                 if cex is None:
-                    learner.answer_eq_yes()
-                else:
-                    learner.answer_eq_counterexample(cex)
+                    break
+                learner.answer_eq_counterexample(cex)
             resumed = HornEntailmentLearner.from_snapshot(learner.to_snapshot(), teacher.mq)
-            assert equivalent(resumed.result, target)
+            assert equivalent(resumed.pending_hypothesis, target)
             assert (learner.mqs, learner.eqs) == (teacher.mq_count, teacher.eq_count)
             assert teacher.transcript.to_jsonl() == ref_teacher.transcript.to_jsonl()
 
@@ -304,9 +283,15 @@ class TestSnapshots:
         teacher = ClassicalTeacher(SLOT_TARGET)
         resumed = HornEntailmentLearner.from_snapshot(OLD_WAITING_EQ, teacher.mq)
         state = json.loads(OLD_WAITING_EQ)
-        del state["pending_mq"], state["task"]
+        del state["status"], state["pending_mq"], state["task"]
         assert json.loads(resumed.to_snapshot()) == state
         assert equivalent(drive(resumed, teacher.eq), SLOT_TARGET)
+
+    def test_old_done_snapshot_loads_at_its_accepted_eq(self):
+        teacher = ClassicalTeacher(SLOT_TARGET)
+        resumed = HornEntailmentLearner.from_snapshot(OLD_DONE, teacher.mq)
+        assert teacher.eq(resumed.pending_hypothesis) is None
+        assert (teacher.mq_count, teacher.eq_count) == (0, 1)
 
     def test_snapshot_clauses_stay_in_the_signature(self):
         state = json.loads(learner_at_eq().to_snapshot())

@@ -56,6 +56,15 @@ def run_learn(tmp_path, *extra):
     return code, out
 
 
+def on_hypothesis_kb(argv, tmp_path):
+    """``argv`` run on data/hypothesis.pkb, a learn with its outputs in tmp_path."""
+    target = str(DATA / "hypothesis.pkb")
+    if argv[0] != "learn":
+        return [*argv, target]
+    outs = [f"--out-{n}={tmp_path / n}" for n in ("hypothesis", "transcript", "stats")]
+    return [*argv, "--target", target, *outs]
+
+
 def assert_one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -331,12 +340,22 @@ class TestConfigErrorsExit2:
         ids=["learn-cap", "precision", "max-antecedent", "oracle-budget", "oracle-cap"],
     )
     def test_integer_flag_below_its_least_value(self, tmp_path, capsys, argv, flag):
+        self.assert_flag_refused(tmp_path, capsys, argv, flag)
+
+    # 10**p and scaled degrees have p digits: --precision 10**8 ran for hours
+    @pytest.mark.parametrize("value", ["13", str(10**30)])
+    def test_precision_above_its_greatest_value(self, tmp_path, capsys, value):
+        argv = ["learn", "--mode", "mq-only", "--precision", value]
+        self.assert_flag_refused(tmp_path, capsys, argv, "--precision")
+
+    def test_precision_at_its_greatest_value_runs(self, tmp_path):
         target = str(DATA / "hypothesis.pkb")
-        if argv[0] == "learn":
-            outs = [f"--out-{n}={tmp_path / n}" for n in ("hypothesis", "transcript", "stats")]
-            argv = [*argv, "--target", target, *outs]
-        else:
-            argv = [*argv, target]
+        code, _ = run_learn(tmp_path, "--mode", "mq-only", "--precision", "12", "--target", target)
+        assert code == 0
+
+    @staticmethod
+    def assert_flag_refused(tmp_path, capsys, argv, flag):
+        argv = on_hypothesis_kb(argv, tmp_path)
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 2
@@ -646,9 +665,38 @@ kb_texts = st.builds(
 )
 
 
+HUGE_AND_SMALL_INTS = ["0", "-1", "1", "12", str(2**63), str(10**30)]
+ODD_FLOATS = ["nan", "inf", "-inf", "5e-324", "1e308", "-0.0"]
+FLAG_BASES = {
+    "--precision": ["learn", "--mode", "mq-only"],
+    "--max-antecedent": ["learn", "--mode", "mq-only", "--precision", "1"],
+    "--cap": ["learn", "--mode", "eq-only"],
+    "--seed": ["learn", "--mode", "pac"],
+}
+BOUNDARY_ARGV = (
+    [[*base, f"{flag}={v}"] for flag, base in FLAG_BASES.items() for v in HUGE_AND_SMALL_INTS]
+    + [["oracle-check", f"{flag}={v}"] for flag in ("--cap", "--budget") for v in HUGE_AND_SMALL_INTS]
+    + [["learn", "--mode", "pac", f"{flag}={v}"] for flag in ("--epsilon", "--delta") for v in ODD_FLOATS]
+)
+
+
 class TestFuzzedInputs:
-    """Any KB or script text ends in a documented exit code, with at most
-    one error line and no traceback."""
+    """Any KB or script text, and any boundary number given to a numeric
+    flag, ends in a documented exit code, with at most one error line and no
+    traceback."""
+
+    @pytest.mark.parametrize("argv", BOUNDARY_ARGV, ids=" ".join)
+    def test_boundary_flag_values_exit_cleanly(self, tmp_path, argv):
+        argv = on_hypothesis_kb(argv, tmp_path)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:  # argparse refuses the flag
+                code = exit_.code
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(kb_texts, kb_texts)

@@ -13,6 +13,7 @@ from posshorn import (
     PossibilisticTeacher,
     PossKB,
     ProtocolError,
+    RunStats,
     UniformClauseDistribution,
     Valuation,
     empirical_error,
@@ -63,6 +64,33 @@ class SampleOnly:
     @property
     def draws(self):
         return self._dist.draws
+
+
+class SkewedSampler:
+    """A sampler that is not uniform, seen through ``sample()`` alone: the
+    i-th variable in sorted order joins the antecedent with probability
+    0.9**(i+1), the free consequents weigh len - k at position k (falsum
+    last, lightest), and the degree m/100 weighs 101 - m.  Labels come from
+    poss_entails."""
+
+    def __init__(self, target, seed):
+        self.target = target
+        self._rng = random.Random(seed)
+        self._variables = sorted(target.signature)
+        self._degrees = [Valuation(m, 2) for m in range(1, 101)]
+        self._degree_weights = [101 - m for m in range(1, 101)]
+
+    def sample(self):
+        rng = self._rng
+        antecedent = frozenset(
+            v for i, v in enumerate(self._variables) if rng.random() < 0.9 ** (i + 1)
+        )
+        consequents = [v for v in self._variables if v not in antecedent] + [FALSUM]
+        weights = range(len(consequents), 0, -1)
+        consequent = rng.choices(consequents, weights=weights)[0]
+        valuation = rng.choices(self._degrees, weights=self._degree_weights)[0]
+        example = PossClause(HornClause(antecedent, consequent), valuation)
+        return example, poss_entails(self.target, example)
 
 
 def seeded_targets(count, precisions=(1, 2, 3)):
@@ -183,6 +211,25 @@ class TestPacLearning:
         h = pac_learn(target.signature, dist, 0.1, 0.05, teacher.mq)
         error = empirical_error(h, UniformClauseDistribution(target, seed=999), 2000)
         assert error <= Fraction(1, 10)
+
+    def test_within_epsilon_under_a_skewed_sampler(self):
+        # acceptance 9's targets, epsilon and delta; the sampler is the
+        # teacher, and a negative disagreement would raise ProtocolError
+        rng = random.Random(999)
+        within = 0
+        for seed in range(100):
+            target = random_poss_kb(rng, 5, 6, precision=1)
+            teacher = PossibilisticTeacher(target)
+            stats = RunStats()
+            h = pac_learn(
+                target.signature, SkewedSampler(target, seed), 0.1, 0.05, teacher.mq,
+                stats=stats,
+            )
+            prec = max([1] + [c.valuation.prec() for c in target.clauses])
+            assert stats.escalations <= prec - 1, f"trial {seed}"
+            error = empirical_error(h, SkewedSampler(target, 10_000 + seed), 2000)
+            within += error <= Fraction(1, 10)
+        assert within >= 90, f"only {within}/100 trials within epsilon"
 
     def test_sampled_disagreements_separate_target_and_hypothesis(self):
         rng = random.Random(8)
